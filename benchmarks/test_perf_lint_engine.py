@@ -20,7 +20,6 @@ from repro.lint import lint_paths, make_config, render_json
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 PERF_JSON = RESULTS_DIR / "perf.json"
-PROFILE_JSON = RESULTS_DIR / "profile.json"
 SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
 
 _PERF = {}
@@ -55,7 +54,7 @@ def _export_perf_json():
 
 
 def _config():
-    return make_config(passes=("all",), hot_profile=str(PROFILE_JSON))
+    return make_config(passes=("all",))
 
 
 def _timed_lint(cache_dir=None, jobs=1):
@@ -80,7 +79,6 @@ def test_lint_cold_vs_warm_cache(tmp_path):
 
     warm_s, warm = _timed_lint(cache_dir)
     assert warm.cache_stats["local_misses"] == 0
-    assert warm.cache_stats["perf_misses"] == 0
     assert warm.cache_stats["local_hits"] == warm.files_checked
     assert render_json(warm) == render_json(cold)
 

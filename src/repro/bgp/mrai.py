@@ -113,7 +113,7 @@ class MraiLimiter:
                 self._engine,
                 functools.partial(self._expired, peer),
                 # One allocation per peer lifetime, not per sent update.
-                name=f"mrai:{self.owner}->{peer}",  # perflint: disable=PERF004
+                name=f"mrai:{self.owner}->{peer}",
                 actor=self.owner,
                 tag="mrai",
             )

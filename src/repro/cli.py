@@ -169,15 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sim.add_argument(
-        "--audit-alloc",
-        action="store_true",
-        help=(
-            "attach the runtime allocation probe (tracemalloc net bytes "
-            "per profiled sub-phase) and print the per-phase allocation "
-            "report — the dynamic counterpart of the perflint pass"
-        ),
-    )
-    sim.add_argument(
         "--faults",
         default=None,
         metavar="PLAN.json",
@@ -457,14 +448,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the detlint/semlint/timerlint/perflint static-analysis passes",
+        help="run the detlint/semlint/timerlint static-analysis passes",
         description=(
             "Check Python sources against the determinism (DET001..DET010), "
-            "protocol-semantics (SEM001..SEM007), timer-lifecycle "
-            "(TIM001..TIM010), and hot-path performance (PERF001..PERF010) "
-            "rule catalogues — see docs/STATIC_ANALYSIS.md. PERF findings "
-            "keep warning severity only inside the profile-derived hot set; "
-            "elsewhere they downgrade to advisory info and never block. "
+            "protocol-semantics (SEM001..SEM007), and timer-lifecycle "
+            "(TIM001..TIM010) rule catalogues — see docs/STATIC_ANALYSIS.md. "
             "Exit-code contract (stable): 0 clean (no blocking findings per "
             "--fail-on), 1 blocking findings or parse errors remain, 2 on "
             "usage errors."
@@ -486,13 +474,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--pass",
-        choices=["det", "sem", "tim", "perf", "all"],
+        choices=["det", "sem", "tim", "all"],
         default="all",
         dest="lint_pass",
         help=(
             "which analysis pass to run: det (determinism), sem (protocol "
-            "semantics), tim (timer lifecycle), perf (hot-path "
-            "performance), or all (default)"
+            "semantics), tim (timer lifecycle), or all (default)"
         ),
     )
     lint.add_argument(
@@ -511,21 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "unchanged files are served from the cache, findings are "
             "digest-identical to an uncached run"
         ),
-    )
-    lint.add_argument(
-        "--hot-profile",
-        default=None,
-        metavar="FILE",
-        help=(
-            "profile.json consulted by the perf pass's hot-set resolver "
-            "(default: benchmarks/results/profile.json; missing profile "
-            "treats every phase as hot)"
-        ),
-    )
-    lint.add_argument(
-        "--show-info",
-        action="store_true",
-        help="list advisory info-severity findings in text output",
     )
     lint.add_argument(
         "--fail-on",
@@ -775,17 +747,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     topology = config.topology
     scenario = Scenario(config)
     audit = scenario.engine.enable_timer_audit() if args.audit_timers else None
-    alloc_probe = None
-    if args.audit_alloc:
-        from repro.sim.allocprobe import AllocationProbe
-
-        alloc_probe = AllocationProbe()
-        alloc_probe.start()
-        scenario.engine.set_phase_probe(alloc_probe)
     scenario.warm_up()
     result = scenario.run(PulseSchedule.regular(args.pulses, args.interval))
-    if alloc_probe is not None:
-        alloc_probe.stop()
     invariant_rows: List[List[object]] = []
     invariant_failures: List[str] = []
     audit_failures: List[str] = []
@@ -840,8 +803,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             rows.append([f"  dropped: {reason}", count])
     rows.extend(invariant_rows)
     print(render_table(headers, rows, title="simulation result"))
-    if alloc_probe is not None:
-        print(alloc_probe.describe())
     for failure in invariant_failures:
         print(f"invariant violation: {failure}", file=sys.stderr)
     for failure in audit_failures:
@@ -876,8 +837,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     tracer = Tracer(JsonlSink(args.out) if args.out is not None else MemorySink())
     profiler.bind(engine=scenario.engine, tracer=tracer)
     # The probe splits engine dispatch into labelled sub-phases
-    # (decision_process, penalty_decay, mrai_flush, ...) — the breakdown
-    # the perflint hot-set resolver consumes (profile schema v2).
+    # (decision_process, penalty_decay, mrai_flush, ...; profile schema v2).
     probe = profiler.attach_probe(scenario.engine)
     with profiler.phase("warm_up"):
         scenario.warm_up()
@@ -1284,7 +1244,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         select=tuple(args.select),
         ignore=tuple(args.ignore),
         passes=(args.lint_pass,),
-        hot_profile=args.hot_profile,
     )
     if args.jobs < 1:
         print("rfd-repro lint: --jobs must be >= 1", file=sys.stderr)
@@ -1299,11 +1258,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if report.cache_stats is not None:
         stats = report.cache_stats
         print(
-            "lint cache: {}/{} local hits, {}/{} perf hits".format(
+            "lint cache: {}/{} local hits".format(
                 stats["local_hits"],
                 stats["local_hits"] + stats["local_misses"],
-                stats["perf_hits"],
-                stats["perf_hits"] + stats["perf_misses"],
             ),
             file=sys.stderr,
         )
@@ -1326,7 +1283,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.output_format == "json":
         print(render_json(report))
     else:
-        print(render_text(report, show_info=args.show_info))
+        print(render_text(report))
     # Exit contract: parse errors always fail; findings fail per --fail-on
     # ('warning' = any finding, 'error' = errors only, 'never' = report only).
     if report.parse_errors:

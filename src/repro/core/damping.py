@@ -72,7 +72,7 @@ class UpdateOutcome:
     """What :meth:`DampingManager.record_update` did with one update.
 
     Allocated once per processed update — slotted so the hot path does
-    not grow a ``__dict__`` per outcome (perflint PERF006).
+    not grow a ``__dict__`` per outcome.
     """
 
     __slots__ = (
@@ -321,7 +321,7 @@ class DampingManager:
                 self._engine,
                 functools.partial(self._reuse_fired, peer, prefix),
                 # One allocation per (peer, prefix) lifetime, not per event.
-                name=f"reuse:{self.owner}:{peer}:{prefix}",  # perflint: disable=PERF004
+                name=f"reuse:{self.owner}:{peer}:{prefix}",
                 actor=self.owner,
                 tag="reuse",
             )
@@ -340,7 +340,7 @@ class DampingManager:
         # SuppressionRecord carries defaulted fields and a list factory, so
         # it cannot take __slots__ on this Python; suppressions are rare
         # relative to charges, so the dict cost is accepted.
-        record = SuppressionRecord(  # perflint: disable=PERF006
+        record = SuppressionRecord(
             peer=peer, prefix=prefix, started=now, penalty_at_start=penalty
         )
         entry.current_record = record

@@ -1,5 +1,4 @@
-"""Static analysis for the reproduction: detlint + semlint + timerlint +
-perflint.
+"""Static analysis for the reproduction: detlint + semlint + timerlint.
 
 The paper's headline effects (secondary charging, muffling, the ``Nh``
 crossover) are timer-interaction effects, so the reproduction is only
@@ -20,14 +19,6 @@ conventions into machine-checked invariants:
   handles (leaks, double-arm, re-arm-after-cancel) plus discipline at
   arming/construction sites (charge-API bypass in callbacks, raw delay
   literals, engine-boundary bypass, race labels, unclamped delays).
-* **perflint** (``PERF0xx``, :mod:`repro.lint.perf`) — profile-guided
-  hot-path performance hazards: per-event allocation (closures,
-  containers, f-strings, unslotted instances), repeated attribute
-  chains, list-concat growth, materialized membership tests, eager
-  logging, constant rebuilding. Findings keep warning severity only
-  inside the hot set derived from the committed phase profile
-  (:mod:`repro.lint.callgraph` + ``benchmarks/results/profile.json``);
-  elsewhere they downgrade to advisory ``info``.
 
 All passes share one rule framework (:mod:`repro.lint.framework`), a
 driver with construct-scoped pass-prefixed ``# <pass>lint:
@@ -53,7 +44,6 @@ from repro.lint.baseline import (
     render_baseline,
 )
 from repro.lint.cache import RULE_SET_VERSION, LintCache
-from repro.lint.callgraph import FileSummary, ProjectGraph, summarize_file
 from repro.lint.config import (
     DEFAULT_PROTECTED_PACKAGES,
     LintConfig,
@@ -63,7 +53,6 @@ from repro.lint.config import (
 from repro.lint.effects import EffectAnalysis, FunctionEffects, analyze_effects
 from repro.lint.findings import Finding, LintReport
 from repro.lint.framework import FileContext, Rule, all_rule_ids, iter_rules
-from repro.lint.perf import HotSetResolver, PerfAnalysis, resolve_hot_functions
 from repro.lint.reporters import render_json, render_rule_list, render_text
 from repro.lint.rules import RULE_IDS
 from repro.lint.runner import lint_paths, lint_source, parse_suppressions
@@ -73,15 +62,11 @@ __all__ = [
     "DEFAULT_PROTECTED_PACKAGES",
     "EffectAnalysis",
     "FileContext",
-    "FileSummary",
     "Finding",
     "FunctionEffects",
-    "HotSetResolver",
     "LintCache",
     "LintConfig",
     "LintReport",
-    "PerfAnalysis",
-    "ProjectGraph",
     "RULE_IDS",
     "RULE_SET_VERSION",
     "Rule",
@@ -102,6 +87,4 @@ __all__ = [
     "render_json",
     "render_rule_list",
     "render_text",
-    "resolve_hot_functions",
-    "summarize_file",
 ]

@@ -1,20 +1,14 @@
 """Content-digest incremental cache for the lint engine.
 
 One JSON file under ``.lint_cache/`` records, per source file, the
-SHA-256 of the source it was computed from, the findings of the *local*
-passes (det/sem/tim — pure functions of one file), the file's call-graph
-summary, and the findings of the cross-file perf pass keyed additionally
-by a *hot-slice digest* (the sorted hot functions of that file plus the
-profile identity). The split makes invalidation exactly as transitive as
-the analysis: editing one file re-lints that file's local passes, and
-re-runs the perf pass only for files whose hot slice actually changed —
-an edit that rewires the call graph in ``a.py`` re-analyses ``b.py``
-if and only if ``b``'s hot functions differ, while a comment-only edit
-elsewhere re-analyses nothing.
+SHA-256 of the source it was computed from and the findings of the
+det/sem/tim passes. Every rule is a pure function of one file, so
+invalidation is per file: editing one file re-lints that file and
+nothing else.
 
 The whole cache is invalidated by a rule-set signature (rule ids +
 :data:`RULE_SET_VERSION`, bumped whenever rule *logic* changes without
-an id changing) and a config digest, so `--select`/`--ignore`/threshold
+an id changing) and a config digest, so `--select`/`--ignore`/`--pass`
 variations never alias each other's entries. A corrupt or
 wrong-schema cache file is treated as empty, never trusted.
 """
@@ -31,10 +25,11 @@ from repro.lint.findings import Finding
 
 #: Bump when any rule's logic changes in a way that alters findings
 #: without changing the rule-id catalogue.
-RULE_SET_VERSION = 1
+RULE_SET_VERSION = 2
 
-#: On-disk schema of the cache file itself.
-CACHE_SCHEMA = 1
+#: On-disk schema of the cache file itself. Schema 1 also held per-file
+#: call-graph summaries and perf-pass findings; such files are discarded.
+CACHE_SCHEMA = 2
 
 #: File name inside the cache directory.
 CACHE_FILENAME = "cache.json"
@@ -64,19 +59,10 @@ def config_digest(config: LintConfig) -> str:
             "params_modules": list(config.params_modules),
             "damping_modules": list(config.damping_modules),
             "executor_modules": list(config.executor_modules),
-            "hot_profile": config.hot_profile,
-            "hot_threshold": config.hot_threshold,
         },
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def hot_slice_digest(hot_functions: List[str]) -> str:
-    """Identity of one file's hot slice (the perf-pass cache key)."""
-    return hashlib.sha256(
-        "\n".join(sorted(hot_functions)).encode("utf-8")
-    ).hexdigest()
 
 
 def finding_from_dict(data: Mapping[str, object]) -> Finding:
@@ -107,11 +93,10 @@ def _findings_in(data: object) -> Optional[List[Finding]]:
 
 
 class LintCache:
-    """Per-file findings/summaries keyed by content digests.
+    """Per-file findings keyed by content digests.
 
-    ``local_hits``/``local_misses``/``perf_hits``/``perf_misses`` are
-    exposed so the benchmark and the CI self-check can assert the warm
-    path actually short-circuits.
+    ``local_hits``/``local_misses`` are exposed so the benchmark and the
+    CI self-check can assert the warm path actually short-circuits.
     """
 
     def __init__(
@@ -127,8 +112,6 @@ class LintCache:
         self._files: Dict[str, Dict[str, object]] = {}
         self.local_hits = 0
         self.local_misses = 0
-        self.perf_hits = 0
-        self.perf_misses = 0
         self._load()
 
     def _load(self) -> None:
@@ -172,42 +155,24 @@ class LintCache:
             json.dump(payload, handle, sort_keys=True)
         os.replace(tmp, self.path)
 
-    def _entry(self, path: str, sha: str) -> Optional[Dict[str, object]]:
-        entry = self._files.get(path)
-        if entry is None or entry.get("sha") != sha:
-            return None
-        return entry
-
-    # -- local (det/sem/tim) pass -------------------------------------
-
     def local_result(
         self, path: str, sha: str
-    ) -> Optional[
-        Tuple[List[Finding], List[Finding], Optional[str], Optional[Dict[str, object]]]
-    ]:
-        """Cached ``(findings, suppressed, parse_error, summary)``."""
-        entry = self._entry(path, sha)
-        if entry is None:
-            self.local_misses += 1
-            return None
-        local = entry.get("local")
-        if not isinstance(local, dict):
-            self.local_misses += 1
-            return None
-        findings = _findings_in(local.get("findings"))
-        suppressed = _findings_in(local.get("suppressed"))
-        if findings is None or suppressed is None:
-            self.local_misses += 1
-            return None
-        parse_error = entry.get("parse_error")
-        summary = entry.get("summary")
-        self.local_hits += 1
-        return (
-            findings,
-            suppressed,
-            str(parse_error) if parse_error is not None else None,
-            summary if isinstance(summary, dict) else None,
-        )
+    ) -> Optional[Tuple[List[Finding], List[Finding], Optional[str]]]:
+        """Cached ``(findings, suppressed, parse_error)`` for one file."""
+        entry = self._files.get(path)
+        if entry is not None and entry.get("sha") == sha:
+            findings = _findings_in(entry.get("findings"))
+            suppressed = _findings_in(entry.get("suppressed"))
+            if findings is not None and suppressed is not None:
+                self.local_hits += 1
+                parse_error = entry.get("parse_error")
+                return (
+                    findings,
+                    suppressed,
+                    str(parse_error) if parse_error is not None else None,
+                )
+        self.local_misses += 1
+        return None
 
     def store_local(
         self,
@@ -216,53 +181,10 @@ class LintCache:
         findings: List[Finding],
         suppressed: List[Finding],
         parse_error: Optional[str],
-        summary: Optional[Dict[str, object]],
     ) -> None:
         self._files[path] = {
             "sha": sha,
             "parse_error": parse_error,
-            "summary": summary,
-            "local": {
-                "findings": _findings_out(findings),
-                "suppressed": _findings_out(suppressed),
-            },
-        }
-
-    # -- perf pass -----------------------------------------------------
-
-    def perf_result(
-        self, path: str, sha: str, hot_digest: str
-    ) -> Optional[Tuple[List[Finding], List[Finding]]]:
-        """Cached perf ``(findings, suppressed)`` for one hot slice."""
-        entry = self._entry(path, sha)
-        if entry is None:
-            self.perf_misses += 1
-            return None
-        perf = entry.get("perf")
-        if not isinstance(perf, dict) or perf.get("hot_digest") != hot_digest:
-            self.perf_misses += 1
-            return None
-        findings = _findings_in(perf.get("findings"))
-        suppressed = _findings_in(perf.get("suppressed"))
-        if findings is None or suppressed is None:
-            self.perf_misses += 1
-            return None
-        self.perf_hits += 1
-        return findings, suppressed
-
-    def store_perf(
-        self,
-        path: str,
-        sha: str,
-        hot_digest: str,
-        findings: List[Finding],
-        suppressed: List[Finding],
-    ) -> None:
-        entry = self._entry(path, sha)
-        if entry is None:
-            return
-        entry["perf"] = {
-            "hot_digest": hot_digest,
             "findings": _findings_out(findings),
             "suppressed": _findings_out(suppressed),
         }
@@ -275,7 +197,6 @@ __all__ = [
     "LintCache",
     "config_digest",
     "finding_from_dict",
-    "hot_slice_digest",
     "rules_signature",
     "source_digest",
 ]

@@ -55,21 +55,13 @@ DEFAULT_EXECUTOR_MODULES: Tuple[str, ...] = (
 )
 
 #: Analysis passes by rule-id prefix; ``--pass all`` selects every one.
-KNOWN_PASSES: FrozenSet[str] = frozenset({"det", "sem", "tim", "perf"})
-
-#: Default committed profile consulted by the perflint hot-set resolver.
-DEFAULT_HOT_PROFILE: str = "benchmarks/results/profile.json"
-
-#: Phases whose wall-clock share is at or above this fraction of the
-#: profiled total are "hot"; perflint findings inside their transitive
-#: call closure keep warning severity, everything else downgrades to info.
-DEFAULT_HOT_THRESHOLD: float = 0.05
+KNOWN_PASSES: FrozenSet[str] = frozenset({"det", "sem", "tim"})
 
 _PASS_PREFIX = re.compile(r"^[A-Z]+")
 
 
 def pass_for_rule(rule_id: str) -> str:
-    """The analysis pass a rule id belongs to (``PERF003`` -> ``perf``)."""
+    """The analysis pass a rule id belongs to (``SEM003`` -> ``sem``)."""
     match = _PASS_PREFIX.match(rule_id)
     return match.group(0).lower() if match else rule_id[:3].lower()
 
@@ -94,11 +86,10 @@ class LintConfig:
         Rule ids excluded from the run (applied after ``select``).
     passes:
         Which analysis passes run: ``det`` (determinism), ``sem``
-        (protocol semantics), ``tim`` (timer lifecycle/interaction),
-        ``perf`` (profile-guided hot-path performance), or any
-        combination. A rule belongs to the pass its id prefix spells
+        (protocol semantics), ``tim`` (timer lifecycle/interaction), or
+        any combination. A rule belongs to the pass its id prefix spells
         (``DET005`` -> ``det``, ``SEM003`` -> ``sem``, ``TIM001`` ->
-        ``tim``, ``PERF004`` -> ``perf``).
+        ``tim``).
     protected_packages:
         Dotted module prefixes in which DET007 forbids environment and
         filesystem access.
@@ -115,12 +106,6 @@ class LintConfig:
     executor_modules:
         Modules allowed to use ``multiprocessing``/``concurrent.futures``
         (DET010) — the deterministic sweep executor and the lint runner.
-    hot_profile:
-        Path to a :mod:`repro.trace.profile` export consulted by the
-        perflint hot-set resolver; None falls back to the committed
-        default when it exists.
-    hot_threshold:
-        Minimum wall-clock fraction for a profiled phase to count as hot.
     """
 
     select: FrozenSet[str] = frozenset()
@@ -133,8 +118,6 @@ class LintConfig:
     params_modules: Tuple[str, ...] = DEFAULT_PARAMS_MODULES
     damping_modules: Tuple[str, ...] = DEFAULT_DAMPING_MODULES
     executor_modules: Tuple[str, ...] = DEFAULT_EXECUTOR_MODULES
-    hot_profile: Optional[str] = None
-    hot_threshold: float = DEFAULT_HOT_THRESHOLD
 
     def validate(self, known_rule_ids: FrozenSet[str]) -> None:
         """Reject rule ids or pass names nothing provides."""
@@ -183,15 +166,13 @@ class LintConfig:
 def make_config(
     select: Tuple[str, ...] = (),
     ignore: Tuple[str, ...] = (),
-    passes: Tuple[str, ...] = ("det", "sem", "tim", "perf"),
+    passes: Tuple[str, ...] = ("all",),
     protected_packages: Tuple[str, ...] = DEFAULT_PROTECTED_PACKAGES,
-    hot_profile: Optional[str] = None,
-    hot_threshold: float = DEFAULT_HOT_THRESHOLD,
 ) -> LintConfig:
     """Convenience constructor used by the CLI (tuples in, frozensets out).
 
     ``passes`` accepts the CLI's ``--pass`` vocabulary: ``det``, ``sem``,
-    ``tim``, ``perf``, or ``all`` (expanded to every known pass).
+    ``tim``, or ``all`` (expanded to every known pass).
     """
     expanded = set()
     for name in passes:
@@ -204,6 +185,4 @@ def make_config(
         ignore=frozenset(ignore),
         passes=frozenset(expanded),
         protected_packages=protected_packages,
-        hot_profile=hot_profile,
-        hot_threshold=hot_threshold,
     )

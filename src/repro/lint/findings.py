@@ -15,10 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 #: The severity vocabulary, in decreasing order of strictness. ``error``
 #: findings always gate (unless ``--fail-on never``); ``warning``
-#: findings gate only under the default ``--fail-on warning``; ``info``
-#: findings never gate — perflint uses them for hazards that sit outside
-#: the profiled hot set and are advisory rather than blocking.
-SEVERITIES: Tuple[str, ...] = ("error", "warning", "info")
+#: findings gate only under the default ``--fail-on warning``.
+SEVERITIES: Tuple[str, ...] = ("error", "warning")
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,8 @@ class LintReport:
     #: ``(path, error message)`` for files that could not be parsed.
     parse_errors: List[Tuple[str, str]] = field(default_factory=list)
     #: Incremental-cache hit/miss counters, populated when the run used a
-    #: cache directory (``local_hits``/``local_misses``/``perf_hits``/
-    #: ``perf_misses``); None for uncached runs.
+    #: cache directory (``local_hits``/``local_misses``); None for
+    #: uncached runs.
     cache_stats: Optional[Dict[str, int]] = None
 
     @property
@@ -108,26 +106,21 @@ class LintReport:
     def warning_count(self) -> int:
         return sum(1 for f in self.findings if f.severity == "warning")
 
-    @property
-    def info_count(self) -> int:
-        return sum(1 for f in self.findings if f.severity == "info")
-
     def blocking_findings(self, fail_on: str = "warning") -> List[Finding]:
         """The findings that fail the run under a ``--fail-on`` threshold.
 
         ``warning`` (the default, and the historical behaviour): every
-        error- and warning-severity finding blocks. ``error``: only
-        error-severity findings block. ``never``: findings never block.
-        ``info`` findings are advisory and never block under any
-        threshold. Parse errors are not findings and always fail the run
-        — an unparseable file cannot be certified clean — so callers
-        must check :attr:`parse_errors` separately.
+        finding blocks. ``error``: only error-severity findings block.
+        ``never``: findings never block. Parse errors are not findings
+        and always fail the run — an unparseable file cannot be
+        certified clean — so callers must check :attr:`parse_errors`
+        separately.
         """
         if fail_on == "never":
             return []
         if fail_on == "error":
             return [f for f in self.findings if f.severity == "error"]
-        return [f for f in self.findings if f.severity != "info"]
+        return list(self.findings)
 
     def counts_by_rule(self) -> Dict[str, int]:
         """Active finding count per rule id, sorted by rule id."""

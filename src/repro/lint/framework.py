@@ -5,10 +5,10 @@ A :class:`Rule` inspects one file's AST through a :class:`FileContext`
 lazily computed effect and timer-handle analyses) and yields
 :class:`~repro.lint.findings.Finding` rows. Rules register themselves
 into a global catalogue via :func:`register`; the id prefix (``DET`` /
-``SEM`` / ``TIM`` / ``PERF``) assigns each rule to an analysis pass.
-Suppression filtering happens in the runner, not here.
+``SEM`` / ``TIM``) assigns each rule to an analysis pass. Suppression
+filtering happens in the runner, not here.
 
-With four passes sharing one registry, a silent id collision would make
+With three passes sharing one registry, a silent id collision would make
 a rule unreachable, so :func:`register` validates the id format and
 raises at import time when two rule classes claim the same id.
 """
@@ -25,8 +25,6 @@ from repro.lint.effects import EffectAnalysis, analyze_effects
 from repro.lint.findings import SEVERITIES, Finding
 
 if TYPE_CHECKING:
-    from repro.lint.callgraph import ProjectGraph
-    from repro.lint.perf import PerfAnalysis
     from repro.lint.timers import TimerAnalysis
 
 _PARENT_ATTR = "_detlint_parent"
@@ -48,13 +46,8 @@ class FileContext:
     module: Optional[str] = None
     #: Local name -> fully qualified name, built from import statements.
     aliases: Dict[str, str] = field(default_factory=dict)
-    #: Cross-file project view (call graph + hot set) when the runner
-    #: linted a whole tree; None for single-file invocations, in which
-    #: case the perf pass builds a one-file project on the fly.
-    project: Optional["ProjectGraph"] = None
     _effects: Optional[EffectAnalysis] = field(default=None, repr=False)
     _timers: Optional["TimerAnalysis"] = field(default=None, repr=False)
-    _perf: Optional["PerfAnalysis"] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self._link_parents()
@@ -99,17 +92,6 @@ class FileContext:
             self._timers = analyze_timers(self)
         return self._timers
 
-    def perf_analysis(self) -> "PerfAnalysis":
-        """Hot-set-annotated function scopes of this file, computed on
-        first use and shared by the PERF001..PERF010 rules."""
-        if self._perf is None:
-            # Local import: repro.lint.perf subclasses Rule from this
-            # module, so a top-level import would be circular.
-            from repro.lint.perf import PerfAnalysis
-
-            self._perf = PerfAnalysis(self)
-        return self._perf
-
     def qualified_name(self, node: ast.AST) -> Optional[str]:
         """Resolve a ``Name``/``Attribute`` chain to a dotted name, expanding
         the leading segment through the file's import aliases."""
@@ -124,13 +106,7 @@ class FileContext:
         parts.append(head)
         return ".".join(reversed(parts))
 
-    def finding(
-        self,
-        rule: "Rule",
-        node: ast.AST,
-        message: str,
-        severity: Optional[str] = None,
-    ) -> Finding:
+    def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         end_line = getattr(node, "end_lineno", None) or line
         # A finding anchored to a whole def/class must not let directives
@@ -147,7 +123,7 @@ class FileContext:
             line=line,
             col=getattr(node, "col_offset", 0),
             end_line=end_line,
-            severity=severity if severity is not None else rule.severity,
+            severity=rule.severity,
         )
 
 
@@ -177,9 +153,8 @@ class Rule:
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
-#: Pass prefix (three or four letters) + three-digit ordinal, e.g.
-#: ``TIM004`` or ``PERF002``.
-_RULE_ID_FORMAT = re.compile(r"^[A-Z]{3,4}\d{3}$")
+#: Three-letter pass prefix + three-digit ordinal, e.g. ``TIM004``.
+_RULE_ID_FORMAT = re.compile(r"^[A-Z]{3}\d{3}$")
 
 
 def register(rule_class: Type[Rule]) -> Type[Rule]:
@@ -195,7 +170,7 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
     if not _RULE_ID_FORMAT.match(rule_class.id):
         raise ValueError(
             f"rule {rule_class.__name__} id {rule_class.id!r} does not match "
-            "the PREFIXnnn format (e.g. DET001, SEM003, TIM010, PERF004)"
+            "the PREFIXnnn format (e.g. DET001, SEM003, TIM010)"
         )
     if rule_class.severity not in SEVERITIES:
         raise ValueError(

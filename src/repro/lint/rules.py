@@ -633,10 +633,9 @@ class AdHocParallelismRule(Rule):
 # catalogue
 # ----------------------------------------------------------------------
 
-# Importing the semantics, timers and perf modules registers the SEM,
-# TIM and PERF passes; they live in their own files but share this
-# registry, so RULE_IDS spells all four catalogues.
-import repro.lint.perf  # noqa: E402,F401  (registers PERF rules)
+# Importing the semantics and timers modules registers the SEM and TIM
+# passes; they live in their own files but share this registry, so
+# RULE_IDS spells all three catalogues.
 import repro.lint.semantics  # noqa: E402,F401  (registers SEM rules)
 import repro.lint.timers  # noqa: E402,F401  (registers TIM rules)
 

@@ -2,16 +2,12 @@
 incremental cache, and parallel file analysis.
 
 :func:`lint_paths` is the entry point the CLI and the tier-1 hygiene gate
-share; it runs whichever passes (detlint / semlint / timerlint /
-perflint) the config enables. The det/sem/tim passes are *local* (pure
-functions of one file) and are analysed per file — in worker processes
-when ``jobs > 1``, over the same spawn-context conventions as the sweep
-executor. The perf pass is *cross-file*: after the local phase, the
-per-file call-graph summaries are stitched into a
-:class:`~repro.lint.callgraph.ProjectGraph`, the hot set is resolved
-from the committed profile, and the PERF rules run with that project
-context. With ``cache_dir`` set, both phases consult a content-digest
-cache (:mod:`repro.lint.cache`); the findings of a warm run are
+share; it runs whichever passes (detlint / semlint / timerlint) the
+config enables. Every rule is a pure function of one file, so the run is
+a single per-file phase — in worker processes when ``jobs > 1``, over
+the same spawn-context conventions as the sweep executor. With
+``cache_dir`` set, each file first consults a content-digest cache
+(:mod:`repro.lint.cache`); the findings of a warm run are
 digest-identical to a cold sequential run by construction, because
 cached entries are keyed on exactly the inputs the analysis reads.
 
@@ -19,12 +15,12 @@ Suppression comments are construct-scoped and pass-prefixed::
 
     t = time.time()  # detlint: disable=DET001
     u = time.time()  # detlint: disable=all
-    d = self.params.rates  # perflint: disable=PERF003
+    timer.start(delay)  # timerlint: disable=TIM005
     x = simulate()  # lint: disable=DET001,SEM003
 
-A pass-scoped prefix (``semlint:`` / ``timerlint:`` / ``perflint:``)
-only silences ids of its own pass (``disable=all`` means "all rules of
-this pass"); the generic ``lint:`` prefix — and ``detlint:``, which
+A pass-scoped prefix (``semlint:`` / ``timerlint:``) only silences ids
+of its own pass (``disable=all`` means "all rules of this pass"); the
+generic ``lint:`` prefix — and ``detlint:``, which
 predates pass scoping and stays fully generic for compatibility —
 silences any listed id (``disable=all`` silences everything). A directive
 silences a finding when it sits on any physical line of the flagged
@@ -42,14 +38,7 @@ import tokenize
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.cache import (
-    LintCache,
-    config_digest,
-    hot_slice_digest,
-    rules_signature,
-    source_digest,
-)
-from repro.lint.callgraph import FileSummary, ProjectGraph, summarize_file
+from repro.lint.cache import LintCache, config_digest, rules_signature, source_digest
 from repro.lint.config import LintConfig, pass_for_rule
 from repro.lint.findings import Finding, LintReport
 from repro.lint.rules import FileContext, Rule, all_rule_ids, iter_rules
@@ -60,7 +49,6 @@ from repro.lint.rules import FileContext, Rule, all_rule_ids, iter_rules
 _PASS_DIRECTIVES: Dict[str, str] = {
     "semlint:": "sem",
     "timerlint:": "tim",
-    "perflint:": "perf",
 }
 #: Generic prefixes: listed ids silence any pass; ``all`` everything.
 #: ``detlint:`` predates the pass-scoped prefixes and has always accepted
@@ -205,14 +193,8 @@ def lint_source(
     config: Optional[LintConfig] = None,
     module: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
-    project: Optional[ProjectGraph] = None,
 ) -> LintReport:
-    """Lint one source string; the unit of work for files and tests.
-
-    Cross-file rules (the perf pass) see ``project`` when the caller
-    linted a whole tree; a lone file gets a single-file project built on
-    the fly inside the perf analysis.
-    """
+    """Lint one source string; the unit of work for files and tests."""
     config = config if config is not None else LintConfig()
     report = LintReport(files_checked=1)
     try:
@@ -222,9 +204,7 @@ def lint_source(
         return report
     if module is None:
         module = module_name_for(path)
-    context = FileContext(
-        path=path, tree=tree, config=config, module=module, project=project
-    )
+    context = FileContext(path=path, tree=tree, config=config, module=module)
     suppressions = parse_suppressions(source)
     decorators = _decorator_lines(tree)
     active_rules = rules if rules is not None else iter_rules(config)
@@ -251,168 +231,81 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
 
 
 # ----------------------------------------------------------------------
-# per-file local analysis (det/sem/tim) + call-graph summary
+# per-file analysis, sequential or over a spawn pool
 # ----------------------------------------------------------------------
 
-#: Picklable result of one file's local phase: ``(path, sha, findings,
-#: suppressed, parse_error, summary_dict)`` with findings as dicts.
-_LocalResult = Tuple[
-    str,
-    str,
-    List[Dict[str, object]],
-    List[Dict[str, object]],
-    Optional[str],
-    Optional[Dict[str, object]],
-]
+#: Picklable result of one file: ``(path, sha, findings, suppressed,
+#: parse_error)``; ``sha`` is empty when the file could not be read.
+_FileResult = Tuple[str, str, List[Finding], List[Finding], Optional[str]]
 
 
-def _local_rules(config: LintConfig) -> List[Rule]:
-    return [
-        rule for rule in iter_rules(config) if pass_for_rule(rule.id) != "perf"
-    ]
+def _unreadable(path: str, exc: OSError) -> _FileResult:
+    return (path, "", [], [], f"unreadable: {exc}")
 
 
-def _perf_rules(config: LintConfig) -> List[Rule]:
-    return [
-        rule for rule in iter_rules(config) if pass_for_rule(rule.id) == "perf"
-    ]
-
-
-def _analyze_local(
-    path: str, config: LintConfig, rules: Sequence[Rule], want_summary: bool
-) -> _LocalResult:
-    """Read + parse one file, run the local rules, summarize for the
-    call graph. Never raises for per-file problems; they come back as
-    ``parse_error`` rows exactly as the sequential runner reports them."""
+def _analyze_file(
+    path: str, config: LintConfig, rules: Sequence[Rule]
+) -> _FileResult:
+    """Read and lint one file. Never raises for per-file problems; they
+    come back as ``parse_error`` rows."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
-        return (path, "", [], [], f"unreadable: {exc}", None)
-    sha = source_digest(source)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return (
-            path,
-            sha,
-            [],
-            [],
-            f"syntax error: {exc.msg} (line {exc.lineno})",
-            None,
-        )
-    module = module_name_for(path)
-    context = FileContext(path=path, tree=tree, config=config, module=module)
-    suppressions = parse_suppressions(source)
-    decorators = _decorator_lines(tree)
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(context))
-    file_report = LintReport()
-    _apply_suppressions(findings, file_report, suppressions, decorators)
-    summary = (
-        summarize_file(tree, path, module).as_dict() if want_summary else None
-    )
+        return _unreadable(path, exc)
+    report = lint_source(source, path, config, rules=rules)
+    parse_error = report.parse_errors[0][1] if report.parse_errors else None
     return (
         path,
-        sha,
-        [f.as_dict() for f in file_report.findings],
-        [f.as_dict() for f in file_report.suppressed],
-        None,
-        summary,
+        source_digest(source),
+        report.findings,
+        report.suppressed,
+        parse_error,
     )
 
 
-# Worker-process state for the parallel local phase, following the
-# spawn-context conventions of repro.experiments.parallel: the config is
-# shipped once through the initializer, rules are instantiated once per
-# worker, and tasks carry only file paths.
+# Worker-process state for parallel analysis, following the spawn-context
+# conventions of repro.experiments.parallel: the config is shipped once
+# through the initializer, rules are instantiated once per worker, and
+# tasks carry only file paths.
 _WORKER_STATE: Dict[str, object] = {}
 
 
-def _init_worker(config: LintConfig, want_summary: bool) -> None:
+def _init_worker(config: LintConfig) -> None:
     _WORKER_STATE["config"] = config
-    _WORKER_STATE["rules"] = _local_rules(config)
-    _WORKER_STATE["want_summary"] = want_summary
+    _WORKER_STATE["rules"] = iter_rules(config)
 
 
-def _worker_analyze(paths: List[str]) -> List[_LocalResult]:
+def _worker_analyze(paths: List[str]) -> List[_FileResult]:
     config = _WORKER_STATE["config"]
     rules = _WORKER_STATE["rules"]
-    want_summary = _WORKER_STATE["want_summary"]
     assert isinstance(config, LintConfig) and isinstance(rules, list)
-    return [
-        _analyze_local(path, config, rules, bool(want_summary))
-        for path in paths
-    ]
+    return [_analyze_file(path, config, rules) for path in paths]
 
 
-def _run_local_phase(
-    pending: List[str],
-    config: LintConfig,
-    want_summary: bool,
-    jobs: int,
-) -> List[_LocalResult]:
+def _analyze_files(
+    pending: List[str], config: LintConfig, jobs: int
+) -> List[_FileResult]:
     """Analyse ``pending`` files, in-process or over a spawn pool."""
     if jobs <= 1 or len(pending) < 2:
-        rules = _local_rules(config)
-        return [
-            _analyze_local(path, config, rules, want_summary)
-            for path in pending
-        ]
+        rules = iter_rules(config)
+        return [_analyze_file(path, config, rules) for path in pending]
     import concurrent.futures
     import multiprocessing
 
     workers = min(jobs, len(pending))
     context = multiprocessing.get_context("spawn")
     chunks = [pending[i::workers] for i in range(workers)]
-    results: List[_LocalResult] = []
+    results: List[_FileResult] = []
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers,
         mp_context=context,
         initializer=_init_worker,
-        initargs=(config, want_summary),
+        initargs=(config,),
     ) as pool:
         for batch in pool.map(_worker_analyze, chunks):
             results.extend(batch)
-    # Deterministic merge regardless of chunking/completion order.
-    results.sort(key=lambda item: item[0])
     return results
-
-
-# ----------------------------------------------------------------------
-# the cross-file perf phase
-# ----------------------------------------------------------------------
-
-
-def _run_perf_file(
-    path: str,
-    config: LintConfig,
-    rules: Sequence[Rule],
-    project: ProjectGraph,
-) -> Tuple[List[Finding], List[Finding]]:
-    """Run the perf rules for one file with full project context."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        tree = ast.parse(source, filename=path)
-    except (OSError, SyntaxError):
-        return [], []  # already reported by the local phase
-    context = FileContext(
-        path=path,
-        tree=tree,
-        config=config,
-        module=module_name_for(path),
-        project=project,
-    )
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(context))
-    file_report = LintReport()
-    _apply_suppressions(
-        findings, file_report, parse_suppressions(source), _decorator_lines(tree)
-    )
-    return file_report.findings, file_report.suppressed
 
 
 def lint_paths(
@@ -425,16 +318,13 @@ def lint_paths(
     """Lint every Python file under ``paths`` and merge the reports.
 
     ``cache_dir`` enables the incremental cache (typically
-    ``.lint_cache``); ``jobs > 1`` parallelises the per-file local phase
-    over a spawn-context process pool. Both are pure accelerators: the
-    merged report is digest-identical to a cold sequential run.
+    ``.lint_cache``); ``jobs > 1`` analyses files over a spawn-context
+    process pool. Both are pure accelerators: the merged report is
+    digest-identical to a cold sequential run.
     """
     config = config if config is not None else LintConfig()
     config.validate(all_rule_ids())
     files = list(iter_python_files(paths))
-    want_perf = "perf" in config.passes
-    perf_rules = _perf_rules(config) if want_perf else []
-    want_perf = bool(perf_rules)
 
     cache: Optional[LintCache] = None
     if cache_dir is not None:
@@ -444,119 +334,47 @@ def lint_paths(
             config_digest(config),
         )
 
-    # Phase A — local passes + summaries, cache-aware, parallelisable.
-    shas: Dict[str, str] = {}
-    local_findings: Dict[str, List[Finding]] = {}
-    local_suppressed: Dict[str, List[Finding]] = {}
-    parse_errors: Dict[str, Optional[str]] = {}
-    summaries: Dict[str, Optional[Dict[str, object]]] = {}
+    results: Dict[str, _FileResult] = {}
     pending: List[str] = []
     for path in files:
-        cached = None
-        if cache is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as exc:
-                shas[path] = ""
-                local_findings[path] = []
-                local_suppressed[path] = []
-                parse_errors[path] = f"unreadable: {exc}"
-                summaries[path] = None
-                continue
-            sha = source_digest(source)
-            shas[path] = sha
-            cached = cache.local_result(path, sha)
-        if cached is not None:
-            findings, suppressed, parse_error, summary = cached
-            local_findings[path] = findings
-            local_suppressed[path] = suppressed
-            parse_errors[path] = parse_error
-            summaries[path] = summary
-        else:
+        if cache is None:
             pending.append(path)
+            continue
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                source = handle.read()
+        except OSError as exc:
+            results[path] = _unreadable(path, exc)
+            continue
+        sha = source_digest(source)
+        cached = cache.local_result(path, sha)
+        if cached is None:
+            pending.append(path)
+        else:
+            findings, suppressed, parse_error = cached
+            results[path] = (path, sha, findings, suppressed, parse_error)
 
-    from repro.lint.cache import finding_from_dict
-
-    for result in _run_local_phase(pending, config, want_perf, jobs):
-        path, sha, findings_out, suppressed_out, parse_error, summary = result
-        shas[path] = sha
-        local_findings[path] = [finding_from_dict(f) for f in findings_out]
-        local_suppressed[path] = [finding_from_dict(f) for f in suppressed_out]
-        parse_errors[path] = parse_error
-        summaries[path] = summary
+    for result in _analyze_files(pending, config, jobs):
+        path, sha, findings, suppressed, parse_error = result
+        results[path] = result
         if cache is not None and sha:
-            cache.store_local(
-                path,
-                sha,
-                local_findings[path],
-                local_suppressed[path],
-                parse_error,
-                summary,
-            )
+            cache.store_local(path, sha, findings, suppressed, parse_error)
 
-    # Phase B — the cross-file perf pass over the project graph.
-    perf_findings: Dict[str, List[Finding]] = {}
-    perf_suppressed: Dict[str, List[Finding]] = {}
-    if want_perf:
-        project = ProjectGraph(
-            FileSummary.from_dict(summary)
-            for summary in summaries.values()
-            if summary is not None
-        )
-        from repro.lint.perf import resolve_hot_functions
-
-        hot = resolve_hot_functions(config, project)
-        # The runner resolved the hot set once for the whole run; the
-        # per-file analyses read it from here instead of recomputing.
-        project.hot_functions = hot  # type: ignore[attr-defined]
-        for path in files:
-            if parse_errors.get(path):
-                perf_findings[path] = []
-                perf_suppressed[path] = []
-                continue
-            slice_digest = hot_slice_digest(
-                [name for name in hot if project.path_of(name) == path]
-            )
-            cached_perf = None
-            if cache is not None:
-                cached_perf = cache.perf_result(path, shas[path], slice_digest)
-            if cached_perf is not None:
-                perf_findings[path], perf_suppressed[path] = cached_perf
-            else:
-                found, suppressed = _run_perf_file(
-                    path, config, perf_rules, project
-                )
-                perf_findings[path] = found
-                perf_suppressed[path] = suppressed
-                if cache is not None and shas.get(path):
-                    cache.store_perf(
-                        path, shas[path], slice_digest, found, suppressed
-                    )
-
-    # Merge, in file order, findings re-sorted per file.
+    # Merge in file order; each file's findings are already sorted.
     report = LintReport()
     for path in files:
+        _, _, findings, suppressed, parse_error = results[path]
         report.files_checked += 1
-        error = parse_errors.get(path)
-        if error is not None:
-            report.parse_errors.append((path, error))
+        if parse_error is not None:
+            report.parse_errors.append((path, parse_error))
             continue
-        merged = list(local_findings.get(path, ()))
-        merged.extend(perf_findings.get(path, ()))
-        merged.sort(key=lambda f: (f.line, f.col, f.rule_id))
-        report.findings.extend(merged)
-        merged_suppressed = list(local_suppressed.get(path, ()))
-        merged_suppressed.extend(perf_suppressed.get(path, ()))
-        merged_suppressed.sort(key=lambda f: (f.line, f.col, f.rule_id))
-        report.suppressed.extend(merged_suppressed)
+        report.findings.extend(findings)
+        report.suppressed.extend(suppressed)
 
     if cache is not None:
         cache.save(keep_paths=files)
         report.cache_stats = {
             "local_hits": cache.local_hits,
             "local_misses": cache.local_misses,
-            "perf_hits": cache.perf_hits,
-            "perf_misses": cache.perf_misses,
         }
     return report

@@ -40,9 +40,8 @@ class PhaseProbe(Protocol):
 
     The engine brackets every callback with ``before()``/``after(tag)``
     so the probe — not the engine — owns whatever non-deterministic
-    measurement it takes (wall clock for the
-    :class:`~repro.trace.profile.EnginePhaseProbe`, tracemalloc for the
-    :class:`~repro.sim.allocprobe.AllocationProbe`). The engine itself
+    measurement it takes (the wall clock, for the
+    :class:`~repro.trace.profile.EnginePhaseProbe`). The engine itself
     never reads a host clock.
     """
 
@@ -198,8 +197,8 @@ class Engine:
         #: Opt-in no-progress detector (:class:`~repro.sim.watchdog.Watchdog`);
         #: observes every executed event through the instrumented path.
         self._watchdog: Optional["Watchdog"] = None
-        #: Opt-in per-event phase sampler (profiler sub-phases or the
-        #: allocation audit); forces the instrumented dispatch path.
+        #: Opt-in per-event phase sampler (profiler sub-phases); forces
+        #: the instrumented dispatch path.
         self._phase_probe: Optional[PhaseProbe] = None
         #: True when the run loops must route through :meth:`_execute`
         #: (tie detection or an event hook); kept as one precomputed flag

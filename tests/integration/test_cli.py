@@ -83,25 +83,6 @@ def test_no_command_errors():
         main([])
 
 
-def test_simulate_audit_alloc_reports_subphase_bytes(capsys):
-    code = main(
-        [
-            "simulate",
-            "--topology", "mesh",
-            "--nodes", "9",
-            "--pulses", "1",
-            "--damping", "cisco",
-            "--seed", "3",
-            "--audit-alloc",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "allocation audit" in out
-    assert "decision_process" in out
-    assert "events=" in out
-
-
 def test_intended_command(capsys):
     assert main(["intended", "--pulses", "4", "--vendor", "cisco"]) == 0
     out = capsys.readouterr().out
@@ -213,21 +194,6 @@ def test_lint_jobs_matches_sequential_output(capsys, tmp_path):
 
 def test_lint_rejects_bad_jobs(capsys):
     assert main(["lint", "--jobs", "0", "src"]) == 2
-
-
-def test_lint_pass_perf_lists_info_with_show_info(capsys, tmp_path):
-    fixture = tmp_path / "hot.py"
-    fixture.write_text(
-        "def fmt(peer):\n    return f'peer {peer}'\n", encoding="utf-8"
-    )
-    # Outside the hot set the finding is info: advisory, exit 0.
-    assert main(["lint", "--pass", "perf", str(fixture)]) == 0
-    out = capsys.readouterr().out
-    assert "info" in out
-    assert "PERF004" not in out  # not listed without --show-info
-    assert main(["lint", "--pass", "perf", "--show-info", str(fixture)]) == 0
-    out = capsys.readouterr().out
-    assert "PERF004" in out
 
 
 def test_lint_select_and_ignore(capsys, tmp_path):

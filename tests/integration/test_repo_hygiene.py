@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
+import tokenize
 
 import pytest
 
@@ -100,17 +102,15 @@ def test_documentation_files_exist(required):
 
 
 def test_detlint_full_tree_is_clean():
-    """Tier-1 static-analysis gate: the whole source tree passes all
-    four lint passes with no baseline and no blocking findings.
+    """Tier-1 static-analysis gate: the whole source tree passes the
+    det, sem and tim passes with no baseline and no blocking findings.
 
     This is the machine-checked form of the conventions the engine's and
     the RFD layers' docstrings promise — see docs/STATIC_ANALYSIS.md.
-    New blocking findings mean a wall-clock read, hand-rolled timer
-    arithmetic, a magic damping constant, a hot-path allocation, or one
-    of the other DET/SEM/TIM/PERF hazards crept into src/; fix it or
-    justify a construct-scoped ``# <pass>lint: disable=...`` suppression.
-    Info-severity perflint findings (hazards outside the profiled hot
-    set) are advisory and never gate.
+    New findings mean a wall-clock read, hand-rolled timer arithmetic, a
+    magic damping constant, or one of the other DET/SEM/TIM hazards
+    crept into src/; fix it or justify a construct-scoped
+    ``# <pass>lint: disable=...`` suppression.
     """
     from repro.lint import lint_paths, make_config, render_text
 
@@ -123,9 +123,47 @@ def test_detlint_full_tree_is_clean():
 
 
 def test_detlint_rule_catalogue_is_documented():
-    """Every rule id appears in docs/STATIC_ANALYSIS.md with its rationale."""
+    """docs/STATIC_ANALYSIS.md catalogues exactly the registered rules:
+    every rule id has a table row, and every table row names a rule that
+    is still registered."""
     from repro.lint import RULE_IDS
 
     doc = (REPO_ROOT / "docs" / "STATIC_ANALYSIS.md").read_text(encoding="utf-8")
     for rule_id in RULE_IDS:
         assert rule_id in doc, f"{rule_id} missing from docs/STATIC_ANALYSIS.md"
+    catalogued = set(re.findall(r"^\| ([A-Z]{3,4}\d{3})\b", doc, re.MULTILINE))
+    stale = sorted(catalogued - set(RULE_IDS))
+    assert not stale, f"docs/STATIC_ANALYSIS.md catalogues unregistered rules: {stale}"
+
+
+_DIRECTIVE = re.compile(r"^#\s*([a-z]*lint):\s*disable=(\S+)")
+
+
+def test_suppression_directives_name_registered_rules():
+    """Every ``# <pass>lint:`` / ``# lint:`` directive under src/ uses a
+    prefix the runner understands and names only registered rule ids, so
+    a deleted rule or pass cannot leave dead suppressions behind."""
+    from repro.lint import all_rule_ids
+    from repro.lint.runner import _GENERIC_DIRECTIVES, _PASS_DIRECTIVES
+
+    prefixes = set(_PASS_DIRECTIVES) | set(_GENERIC_DIRECTIVES)
+    known = all_rule_ids() | {"all"}
+    dead = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        with path.open(encoding="utf-8") as handle:
+            for token in tokenize.generate_tokens(handle.readline):
+                if token.type != tokenize.COMMENT:
+                    continue
+                match = _DIRECTIVE.match(token.string)
+                if match is None:
+                    continue
+                prefix, ids = match.group(1) + ":", match.group(2).split(",")
+                where = f"{path.relative_to(REPO_ROOT)}:{token.start[0]}"
+                if prefix not in prefixes:
+                    dead.append(f"{where}: unknown prefix {prefix}")
+                dead.extend(
+                    f"{where}: unregistered {rule_id}"
+                    for rule_id in ids
+                    if rule_id.strip() not in known
+                )
+    assert not dead, "dead suppressions:\n" + "\n".join(dead)

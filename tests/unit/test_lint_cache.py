@@ -1,11 +1,11 @@
 """Invalidation tests for the incremental lint cache.
 
 The contract under test: the cache is a *pure accelerator*. Whatever
-combination of warm entries, edits, rule-set bumps, call-graph rewires,
-or corrupted cache files the engine encounters, the merged report must
-be byte-identical (as rendered JSON) to a cold sequential run of the
-same tree — the cache may only change *how much work* that takes, which
-the hit/miss counters make observable.
+combination of warm entries, edits, rule-set bumps, or corrupted or
+outdated cache files the engine encounters, the merged report must be
+byte-identical (as rendered JSON) to a cold sequential run of the same
+tree — the cache may only change *how much work* that takes, which the
+hit/miss counters make observable.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ import pytest
 import repro.lint.cache as cache_module
 from repro.lint import lint_paths, make_config, render_json
 
-#: Nonexistent profile -> every phase hot; heat then depends only on the
-#: fixture tree's own call graph (callback registrations), so the tests
-#: are independent of the committed benchmark profile.
-NO_PROFILE = "/nonexistent/profile.json"
-
-ALPHA_COLD = '''
+ALPHA = '''
 """Alpha fixture: plain cross-file caller."""
 
 from repro.beta import helper
@@ -33,7 +28,7 @@ def use(value):
     return helper(value)
 '''
 
-ALPHA_HOT = '''
+ALPHA_REWIRED = '''
 """Alpha fixture: registers beta's helper as an engine callback."""
 
 from repro.beta import helper
@@ -44,39 +39,42 @@ def arm(engine):
 '''
 
 BETA = '''
-"""Beta fixture: the formatting hazard lives here."""
+"""Beta fixture: the wall-clock hazard lives here."""
+
+import time
 
 
 def helper(value):
-    return f"value {value}"
+    return time.time() + value
 '''
 
 BETA_EDITED = '''
-"""Beta fixture: the formatting hazard lives here."""
+"""Beta fixture: the wall-clock hazard lives here."""
+
+import time
 
 
 def helper(value):
-    return f"value {value}"
+    return time.time() + value
 
 
 def extra(value):
-    return f"extra {value}"
+    return time.monotonic() + value
 '''
 
 
 @pytest.fixture
 def tree(tmp_path):
-    # The ``repro`` path segment gives the files real module names, so
-    # cross-file imports resolve in the project graph.
+    # The ``repro`` path segment gives the files real module names.
     pkg = tmp_path / "proj" / "repro"
     pkg.mkdir(parents=True)
-    (pkg / "alpha.py").write_text(textwrap.dedent(ALPHA_COLD))
+    (pkg / "alpha.py").write_text(textwrap.dedent(ALPHA))
     (pkg / "beta.py").write_text(textwrap.dedent(BETA))
     return tmp_path / "proj"
 
 
 def config():
-    return make_config(passes=("all",), hot_profile=NO_PROFILE)
+    return make_config(passes=("all",))
 
 
 def run(tree, cache_dir=None, jobs=1):
@@ -96,19 +94,10 @@ class TestWarmRuns:
     def test_cold_then_warm_is_byte_identical(self, tree, tmp_path):
         cache_dir = tmp_path / "cache"
         cold = run(tree, cache_dir)
-        assert stats(cold) == {
-            "local_hits": 0,
-            "local_misses": 2,
-            "perf_hits": 0,
-            "perf_misses": 2,
-        }
+        assert stats(cold) == {"local_hits": 0, "local_misses": 2}
+        assert {f.rule_id for f in cold.findings} == {"DET001"}
         warm = run(tree, cache_dir)
-        assert stats(warm) == {
-            "local_hits": 2,
-            "local_misses": 0,
-            "perf_hits": 2,
-            "perf_misses": 0,
-        }
+        assert stats(warm) == {"local_hits": 2, "local_misses": 0}
         assert render_json(warm) == render_json(cold)
 
     def test_cache_stats_absent_without_cache_dir(self, tree):
@@ -128,63 +117,30 @@ class TestEditOneFile:
         run(tree, cache_dir)
         (tree / "repro" / "beta.py").write_text(textwrap.dedent(BETA_EDITED))
         warm = run(tree, cache_dir)
-        # alpha: local + perf both cached; beta: both re-run (its source
-        # digest changed, which also invalidates its perf entry).
-        assert stats(warm) == {
-            "local_hits": 1,
-            "local_misses": 1,
-            "perf_hits": 1,
-            "perf_misses": 1,
-        }
+        # alpha stays cached; beta's source digest changed.
+        assert stats(warm) == {"local_hits": 1, "local_misses": 1}
         fresh = run(tree, tmp_path / "fresh_cache")
         assert render_json(warm) == render_json(fresh)
 
 
-class TestCallGraphInvalidation:
-    def test_edge_change_reruns_other_files_perf_pass(self, tree, tmp_path):
+class TestCrossFileEdits:
+    def test_rewiring_an_import_reanalyzes_only_the_edited_file(
+        self, tree, tmp_path
+    ):
+        # Every rule reads one file, so registering beta's helper as a
+        # callback in alpha must not re-lint beta.
         cache_dir = tmp_path / "cache"
         cold = run(tree, cache_dir)
-        severities = {
-            f.severity for f in cold.findings if f.rule_id == "PERF004"
-        }
-        assert severities == {"info"}  # nothing is hot yet
-
-        # Rewire alpha: registering beta.helper as an engine callback
-        # pulls it into the hot set, so *beta's* hot slice changes even
-        # though beta's source did not.
-        (tree / "repro" / "alpha.py").write_text(textwrap.dedent(ALPHA_HOT))
+        (tree / "repro" / "alpha.py").write_text(textwrap.dedent(ALPHA_REWIRED))
         warm = run(tree, cache_dir)
-        assert stats(warm) == {
-            "local_hits": 1,      # beta's local passes stay cached
-            "local_misses": 1,    # alpha was edited
-            "perf_hits": 0,
-            "perf_misses": 2,     # both hot slices changed
-        }
-        beta_findings = [
-            f
-            for f in warm.findings
-            if f.rule_id == "PERF004" and f.path.endswith("beta.py")
-        ]
-        assert beta_findings and all(
-            f.severity == "warning" for f in beta_findings
-        )
+        assert stats(warm) == {"local_hits": 1, "local_misses": 1}
+
+        def beta_rows(report):
+            return [f for f in report.findings if f.path.endswith("beta.py")]
+
+        assert beta_rows(warm) == beta_rows(cold)
         fresh = run(tree, tmp_path / "fresh_cache")
         assert render_json(warm) == render_json(fresh)
-
-    def test_unrelated_edit_keeps_perf_entries(self, tree, tmp_path):
-        cache_dir = tmp_path / "cache"
-        run(tree, cache_dir)
-        # A comment-only edit to alpha leaves every call-graph summary
-        # and hot slice intact: beta must not be re-analysed at all.
-        alpha = tree / "repro" / "alpha.py"
-        alpha.write_text(alpha.read_text() + "\n# trailing comment\n")
-        warm = run(tree, cache_dir)
-        assert stats(warm) == {
-            "local_hits": 1,
-            "local_misses": 1,
-            "perf_hits": 1,
-            "perf_misses": 1,  # alpha's own sha changed
-        }
 
 
 class TestRuleSetVersion:
@@ -193,22 +149,17 @@ class TestRuleSetVersion:
         cold = run(tree, cache_dir)
         monkeypatch.setattr(cache_module, "RULE_SET_VERSION", 999)
         bumped = run(tree, cache_dir)
-        assert stats(bumped) == {
-            "local_hits": 0,
-            "local_misses": 2,
-            "perf_hits": 0,
-            "perf_misses": 2,
-        }
+        assert stats(bumped) == {"local_hits": 0, "local_misses": 2}
         assert render_json(bumped) == render_json(cold)
 
     def test_config_change_never_aliases_entries(self, tree, tmp_path):
         cache_dir = tmp_path / "cache"
         run(tree, cache_dir)
-        narrowed = make_config(passes=("perf",), hot_profile=NO_PROFILE)
+        narrowed = make_config(passes=("sem",))
         report = lint_paths([str(tree)], narrowed, cache_dir=str(cache_dir))
         # Different config digest -> the previous entries are invisible.
         assert stats(report)["local_misses"] == 2
-        assert {f.rule_id[:4] for f in report.findings} <= {"PERF"}
+        assert {f.rule_id[:3] for f in report.findings} <= {"SEM"}
 
 
 class TestCorruptCache:
@@ -217,12 +168,7 @@ class TestCorruptCache:
         cold = run(tree, cache_dir)
         (cache_dir / cache_module.CACHE_FILENAME).write_text("{not json")
         warm = run(tree, cache_dir)
-        assert stats(warm) == {
-            "local_hits": 0,
-            "local_misses": 2,
-            "perf_hits": 0,
-            "perf_misses": 2,
-        }
+        assert stats(warm) == {"local_hits": 0, "local_misses": 2}
         assert render_json(warm) == render_json(cold)
 
     def test_stale_entry_forces_reanalysis_of_that_file_only(
@@ -238,4 +184,31 @@ class TestCorruptCache:
         warm = run(tree, cache_dir)
         assert stats(warm)["local_misses"] == 1
         assert stats(warm)["local_hits"] == 1
+        assert render_json(warm) == render_json(cold)
+
+    @pytest.mark.parametrize("schema", [1, cache_module.CACHE_SCHEMA])
+    def test_schema1_layout_is_never_misread(self, tree, tmp_path, schema):
+        """A cache written before the perf pass was removed nested the
+        local findings under ``local`` next to ``summary`` and ``perf``
+        entries. It must read as all misses, whether the file still says
+        schema 1 or (hand-edited) claims the current schema."""
+        cache_dir = tmp_path / "cache"
+        cold = run(tree, cache_dir)
+        cache_file = cache_dir / cache_module.CACHE_FILENAME
+        payload = json.loads(cache_file.read_text())
+        payload["schema"] = schema
+        payload["files"] = {
+            path: {
+                "sha": entry["sha"],
+                "parse_error": None,
+                "summary": {"path": path, "functions": {}},
+                # Empty local findings: a misread would drop DET001.
+                "local": {"findings": [], "suppressed": []},
+                "perf": {"hot_digest": "0" * 64, "findings": [], "suppressed": []},
+            }
+            for path, entry in payload["files"].items()
+        }
+        cache_file.write_text(json.dumps(payload))
+        warm = run(tree, cache_dir)
+        assert stats(warm) == {"local_hits": 0, "local_misses": 2}
         assert render_json(warm) == render_json(cold)

@@ -254,7 +254,6 @@ class TestDET004:
         )
 
     def test_quiet_on_name_keys(self):
-        # (PERF001 may flag the lambda itself; DET004 must stay quiet.)
         assert "DET004" not in rule_ids_of(
             """
             def order(routers):
@@ -335,7 +334,6 @@ class TestDET006:
         assert "DET006" in ids
 
     def test_respects_disable_comment(self):
-        # (PERF001 may flag the nested def; DET006 must stay silent.)
         assert "DET006" not in rule_ids_of(
             """
             def schedule_probe(engine):
@@ -649,8 +647,6 @@ class TestFramework:
             | {f"SEM00{i}" for i in range(1, 8)}
             | {f"TIM00{i}" for i in range(1, 10)}
             | {"TIM010"}
-            | {f"PERF00{i}" for i in range(1, 10)}
-            | {"PERF010"}
         )
         assert set(RULE_IDS) == expected
         assert all_rule_ids() == frozenset(expected)
@@ -837,6 +833,98 @@ class TestSuppressionScoping:
         )
         assert not report.findings
         assert [f.rule_id for f in report.suppressed] == ["SEM001"]
+
+
+#: One line that trips a det rule (DET001) and a sem rule (SEM003), so a
+#: directive's reach across passes is observable.
+_TWO_PASS_SOURCE = """
+import time
+
+
+def should_suppress(entry):
+    return entry.penalty > 3000.0 and time.time() > 0{directive}
+"""
+
+
+def _two_pass_report(directive: str = ""):
+    return lint_source(
+        _TWO_PASS_SOURCE.replace("{directive}", directive),
+        path="fixture.py",
+        module="repro.core.fixture",
+    )
+
+
+def _ids(findings) -> set:
+    return {f.rule_id for f in findings}
+
+
+class TestSuppressionPrefixes:
+    def test_generic_lint_prefix_suppresses_any_pass(self):
+        report = _two_pass_report("  # lint: disable=DET001,SEM003")
+        assert not report.findings
+        assert _ids(report.suppressed) == {"DET001", "SEM003"}
+
+    def test_foreign_pass_prefix_is_inert(self):
+        # A semlint-scoped directive must not silence a DET finding.
+        report = _two_pass_report("  # semlint: disable=DET001")
+        assert _ids(report.findings) == {"DET001", "SEM003"}
+
+    def test_pass_disable_all_scopes_to_that_pass_only(self):
+        report = _two_pass_report("  # semlint: disable=all")
+        assert _ids(report.suppressed) == {"SEM003"}
+        # The determinism finding from the other pass survives.
+        assert _ids(report.findings) == {"DET001"}
+
+    def test_semlint_prefix_suppresses_sem_finding(self):
+        source = """
+        def should_suppress(entry):
+            return entry.penalty > 3000.0{directive}
+        """
+        config = make_config(passes=("sem",))
+        noisy = lint_source(
+            textwrap.dedent(source.replace("{directive}", "")),
+            path="fixture.py",
+            config=config,
+            module="repro.core.fixture",
+        )
+        assert "SEM003" in _ids(noisy.findings)
+        silenced = lint_source(
+            textwrap.dedent(
+                source.replace("{directive}", "  # semlint: disable=SEM003")
+            ),
+            path="fixture.py",
+            config=config,
+            module="repro.core.fixture",
+        )
+        assert "SEM003" not in _ids(silenced.findings)
+        assert "SEM003" in _ids(silenced.suppressed)
+
+    def test_timerlint_prefix_suppresses_tim_finding(self):
+        source = """
+        def arm(engine, callback):
+            engine.schedule(12.5, callback)
+        """
+        config = make_config(passes=("tim",))
+        noisy = lint_source(
+            textwrap.dedent(source),
+            path="fixture.py",
+            config=config,
+            module="repro.sample.fixture",
+        )
+        tim_ids = {f.rule_id for f in noisy.findings if f.rule_id.startswith("TIM")}
+        assert tim_ids, "expected a timerlint finding to exercise the prefix"
+        target = sorted(tim_ids)[0]
+        silenced = lint_source(
+            textwrap.dedent(source).replace(
+                "engine.schedule(12.5, callback)",
+                f"engine.schedule(12.5, callback)  # timerlint: disable={target}",
+            ),
+            path="fixture.py",
+            config=config,
+            module="repro.sample.fixture",
+        )
+        assert target not in _ids(silenced.findings)
+        assert target in _ids(silenced.suppressed)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,7 @@
 
 Covers the v2 payload shape (labelled sub-phases from the engine probe
 alongside explicit ``phase()`` blocks), tag-to-sub-phase attribution,
-same-name aggregation, the v1-reading shim in :func:`load_profile`, and
-:func:`phase_fractions` — the exact surface the perflint hot-set
-resolver consumes.
+same-name aggregation, and the JSON export.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from repro.trace.profile import (
     TAG_PHASE_MAP,
     EnginePhaseProbe,
     PhaseProfiler,
-    load_profile,
-    phase_fractions,
 )
 
 
@@ -121,79 +117,12 @@ class TestPhaseProfilerReport:
             "workload"
         }
 
-
-class TestLoadProfile:
-    def test_v2_roundtrip(self, tmp_path):
+    def test_export_round_trips_report(self, tmp_path):
         path = tmp_path / "profile.json"
         profiler = PhaseProfiler()
         with profiler.phase("build"):
             pass
         profiler.export(str(path))
-        loaded = load_profile(str(path))
-        assert loaded["schema"] == 2
-        assert "upgraded_from" not in loaded
-
-    def test_v1_shim_upgrades_and_aggregates(self, tmp_path):
-        path = tmp_path / "profile.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "phases": [
-                        {"phase": "episode", "wall_seconds": 1.0, "events": 5},
-                        {"phase": "episode", "wall_seconds": 2.0, "events": 7},
-                        {"phase": "build", "wall_seconds": 1.0},
-                    ],
-                }
-            )
-        )
-        loaded = load_profile(str(path))
-        assert loaded["schema"] == 2
-        assert loaded["upgraded_from"] == 1
-        episode = next(
-            e for e in loaded["phases"] if e["phase"] == "episode"
-        )
-        assert episode["wall_seconds"] == pytest.approx(3.0)
-        assert episode["events"] == 12
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps({"schema": 99, "phases": []}))
-        with pytest.raises(ValueError, match="unsupported schema"):
-            load_profile(str(path))
-
-    def test_malformed_payloads_rejected(self, tmp_path):
-        for payload in ("[]", json.dumps({"schema": 2})):
-            path = tmp_path / "profile.json"
-            path.write_text(payload)
-            with pytest.raises(ValueError):
-                load_profile(str(path))
-
-
-class TestPhaseFractions:
-    def test_fractions_sum_to_one(self):
-        report = {
-            "phases": [
-                {"phase": "decision_process", "wall_seconds": 3.0},
-                {"phase": "penalty_decay", "wall_seconds": 1.0},
-            ]
-        }
-        fractions = phase_fractions(report)
-        assert fractions["decision_process"] == pytest.approx(0.75)
-        assert fractions["penalty_decay"] == pytest.approx(0.25)
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
-    def test_duplicate_labels_merge(self):
-        report = {
-            "phases": [
-                {"phase": "episode", "wall_seconds": 1.0},
-                {"phase": "episode", "wall_seconds": 1.0},
-            ]
-        }
-        assert phase_fractions(report) == {"episode": pytest.approx(1.0)}
-
-    def test_zero_total_and_missing_phases_are_safe(self):
-        assert phase_fractions({}) == {}
-        assert phase_fractions(
-            {"phases": [{"phase": "build", "wall_seconds": 0.0}]}
-        ) == {"build": 0.0}
+        loaded = json.loads(path.read_text())
+        assert loaded["schema"] == PROFILE_SCHEMA_VERSION
+        assert [entry["phase"] for entry in loaded["phases"]] == ["build"]
