@@ -15,13 +15,20 @@ Processing pipeline for a received update (paper Sections 2 and 6):
    let the :class:`~repro.core.damping.DampingManager` update the penalty
    and the suppression state — a newly suppressed entry immediately drops
    out of the candidate set,
-4. re-run the decision process; if the Loc-RIB changed, remember the
-   triggering root cause and synchronise every peer's Adj-RIB-Out
-   (withdrawals immediately, announcements through MRAI).
+4. re-rank incrementally: only the sending peer's candidacy changed, so
+   its candidate is scored against the current best alone. It takes the
+   slot when strictly preferred; a current best that got no worse keeps
+   it; only a best that got worse or vanished falls back to a full scan
+   of every Adj-RIB-In. If the Loc-RIB changed, remember the triggering
+   root cause and synchronise every peer's Adj-RIB-Out (withdrawals
+   immediately, announcements through MRAI); the announced route (our
+   ASN prepended) is built once per change and shared by every peer.
 
-Reuse-timer expiries re-run step 4 with the *stored* root cause of the
-reused route and report to the damping manager whether the expiry was
-noisy (Loc-RIB changed) or silent.
+Reuse-timer expiries and session-loss withdrawals re-run step 4 for the
+one peer concerned (a reuse with the *stored* root cause of the reused
+route, reporting to the damping manager whether the expiry was noisy —
+Loc-RIB changed — or silent). Origination changes and restarts, which
+have no single changed peer, always run the full scan.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.bgp.attrs import Route
-from repro.bgp.decision import select_best
+from repro.bgp.decision import preference_key, select_best
 from repro.bgp.graceful_restart import GracefulRestartConfig, GracefulRestartHelper
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrai import MraiConfig, MraiLimiter
@@ -130,6 +137,10 @@ class BgpRouter(Node):
         #: Root cause of the most recent event that changed the Loc-RIB,
         #: per prefix — copied into outgoing updates.
         self._current_cause: Dict[str, Optional[RootCause]] = {}
+        #: The Loc-RIB route as announced (our ASN prepended), per prefix:
+        #: built on the first export after a Loc-RIB change and shared by
+        #: every Adj-RIB-Out until the next change.
+        self._outbound: Dict[str, Route] = {}
 
         self.damping: Optional[DampingManager] = None
         if self.config.damping is not None:
@@ -242,7 +253,7 @@ class BgpRouter(Node):
                 peer, update.prefix, kind_for_penalty, charge=charge
             )
 
-        self._reselect(update.prefix, update.root_cause)
+        self._reselect(update.prefix, update.root_cause, peer)
 
     def _should_charge(self, peer: str, kind: UpdateKind, update: UpdateMessage) -> bool:
         if self.config.rcn_enabled:
@@ -272,21 +283,28 @@ class BgpRouter(Node):
     # decision process
     # ------------------------------------------------------------------
 
+    def _candidate(self, peer: str, prefix: str) -> Optional[Route]:
+        """``peer``'s usable route for ``prefix`` — present, loop-free and
+        not suppressed — or ``None``. ``self.name`` stands for local
+        origination."""
+        if peer == self.name:
+            if prefix not in self._originated:
+                return None
+            return Route(prefix=prefix, as_path=(self.name,), learned_from=self.name)
+        table = self._rib_in.get(peer)
+        route = table.route(prefix) if table is not None else None
+        if route is None or route.contains(self.name):
+            return None
+        if self.damping is not None and self.damping.is_suppressed(peer, prefix):
+            return None
+        return route
+
     def _candidates(self, prefix: str) -> List[Tuple[str, Route]]:
         candidates: List[Tuple[str, Route]] = []
-        if prefix in self._originated:
-            candidates.append(
-                (self.name, Route(prefix=prefix, as_path=(self.name,), learned_from=self.name))
-            )
-        for peer, table in self._rib_in.items():
-            route = table.route(prefix)
-            if route is None:
-                continue
-            if route.contains(self.name):
-                continue
-            if self.damping is not None and self.damping.is_suppressed(peer, prefix):
-                continue
-            candidates.append((peer, route))
+        for peer in (self.name, *self._rib_in):
+            route = self._candidate(peer, prefix)
+            if route is not None:
+                candidates.append((peer, route))
         return candidates
 
     def _local_pref(self, peer: str, route: Route) -> int:
@@ -294,35 +312,67 @@ class BgpRouter(Node):
             return _SELF_ORIGINATED_PREF
         return self.policy.local_pref(self.name, peer, route)
 
-    def _reselect(self, prefix: str, cause: Optional[RootCause]) -> bool:
-        """Re-run path selection; on change, record the cause and export.
-
-        Returns ``True`` when the Loc-RIB changed.
-        """
+    def _scan(self, prefix: str) -> Optional[Route]:
+        """The full decision process: the best of every candidate."""
         best = select_best(self._candidates(prefix), self._local_pref)
-        changed = self.loc_rib.set_route(prefix, best[1] if best else None)
-        if changed:
-            self.stats.best_path_changes += 1
-            self.last_best_change[prefix] = self.engine.now
-            self._current_cause[prefix] = cause
-            if self.trace is not None:
-                route = self.loc_rib.route(prefix)
-                self.trace.emit(
-                    "select",
-                    self.engine.now,
-                    node=self.name,
-                    cause=self.trace.context,
-                    prefix=prefix,
-                    path=list(route.as_path) if route is not None else None,
-                )
-            self._export(prefix)
-        return changed
+        return best[1] if best is not None else None
+
+    def _reselect(
+        self, prefix: str, cause: Optional[RootCause], peer: Optional[str] = None
+    ) -> bool:
+        """Re-rank ``prefix``; on change, record the cause and export.
+
+        ``peer`` names the one peer whose candidacy changed since the
+        Loc-RIB last matched the full scan; only its candidate is scored
+        against the current best (the preference order is total, so no
+        other candidate can overtake either of them). ``None`` runs the
+        full scan. Returns ``True`` when the Loc-RIB changed.
+        """
+        if peer is None:
+            return self._install(prefix, self._scan(prefix), cause)
+        route = self._candidate(peer, prefix)
+        current = self.loc_rib.route(prefix)
+        if current is None:
+            return self._install(prefix, route, cause)
+        local_pref = self._local_pref
+        key = preference_key(peer, route, local_pref) if route is not None else None
+        current_key = preference_key(current.learned_from, current, local_pref)
+        if current.learned_from == peer:
+            if key is None or key > current_key:
+                route = self._scan(prefix)  # the best got worse: any may win
+        elif key is None or key > current_key:
+            return False
+        return self._install(prefix, route, cause)
+
+    def _install(
+        self, prefix: str, best: Optional[Route], cause: Optional[RootCause]
+    ) -> bool:
+        """Make ``best`` the Loc-RIB entry; on change, record the cause,
+        drop the stale outbound route and export. Returns ``True`` on
+        change."""
+        if not self.loc_rib.set_route(prefix, best):
+            return False
+        self.stats.best_path_changes += 1
+        self.last_best_change[prefix] = self.engine.now
+        self._current_cause[prefix] = cause
+        self._outbound.pop(prefix, None)
+        if self.trace is not None:
+            self.trace.emit(
+                "select",
+                self.engine.now,
+                node=self.name,
+                cause=self.trace.context,
+                prefix=prefix,
+                path=list(best.as_path) if best is not None else None,
+            )
+        self._export(prefix)
+        return True
 
     def _on_reuse(self, peer: str, prefix: str) -> bool:
         """Damping reuse-timer callback; returns True when noisy."""
         entry = self.rib_in(peer).entry(prefix)
         cause = entry.root_cause if entry is not None else None
-        return self._reselect(prefix, cause)
+        return self._reselect(prefix, cause, peer)
 
     # ------------------------------------------------------------------
     # export path
@@ -334,15 +384,20 @@ class BgpRouter(Node):
         best = self.loc_rib.route(prefix)
         if best is None:
             return None
-        if best.learned_from == self.name:
-            announced_path = best.as_path  # self-originated, already starts with us
-        else:
-            announced_path = (self.name,) + best.as_path
-        if peer in announced_path:
+        if peer in best.as_path:
             return None  # sender-side loop prevention (covers learned-from peer)
         if not self.policy.permits_export(self.name, best, peer):
             return None
-        return Route(prefix=prefix, as_path=announced_path, learned_from=self.name)
+        outbound = self._outbound.get(prefix)
+        if outbound is None:
+            if best.learned_from == self.name:
+                outbound = best  # self-originated, already starts with us
+            else:
+                outbound = Route(
+                    prefix=prefix, as_path=(self.name,) + best.as_path, learned_from=self.name
+                )
+            self._outbound[prefix] = outbound
+        return outbound
 
     def _export(self, prefix: str) -> None:
         for peer in self.neighbors:
@@ -469,7 +524,7 @@ class BgpRouter(Node):
                 and self.config.charge_on_session_reset
             ):
                 self.damping.record_update(peer, prefix, kind)
-            self._reselect(prefix, entry.root_cause)
+            self._reselect(prefix, entry.root_cause, peer)
 
     # ------------------------------------------------------------------
     # crash / restart life cycle (fault injection)
@@ -499,6 +554,7 @@ class BgpRouter(Node):
         self._rib_out.clear()
         self.loc_rib = LocRib()
         self._current_cause.clear()
+        self._outbound.clear()
         self.rcn_history = RootCauseHistory()
         self.selective_filter.clear()
 
@@ -592,8 +648,14 @@ class BgpRouter(Node):
         flapping episode starts from a clean damping state (the paper's
         "every node learns a stable route" precondition). RIB contents,
         the RCN history, and protocol counters are preserved.
+
+        Every entry the discarded manager had suppressed becomes usable
+        again, so its prefix is re-ranked as a reuse would re-rank it (a
+        no-op after a drain, when nothing is suppressed).
         """
+        released: List[Tuple[str, str]] = []
         if self.config.damping is not None and self.damping is not None:
+            released = self.damping.suppressed_entries()
             # Quiesce the old manager first: its armed reuse timers would
             # otherwise keep firing into the discarded instance (TIM001's
             # runtime shape; scenarios call this post-drain, but the reset
@@ -603,6 +665,16 @@ class BgpRouter(Node):
                 self.engine, self.config.damping, self.name, self._on_reuse
             )
         self.selective_filter.clear()
+        for prefix in sorted({prefix for _peer, prefix in released}):
+            best = self._scan(prefix)
+            # Like a reuse, propagate the stored cause of the route that
+            # now wins.
+            entry = (
+                self._rib_in[best.learned_from].entry(prefix)
+                if best is not None and best.learned_from != self.name
+                else None
+            )
+            self._install(prefix, best, entry.root_cause if entry is not None else None)
 
     def dump_state(self, prefix: Optional[str] = None) -> Dict[str, object]:
         """Structured snapshot of this router's tables for one prefix (or

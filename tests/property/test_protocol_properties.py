@@ -7,12 +7,17 @@ converged state — the strongest guard against protocol-logic bugs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bgp.graceful_restart import GracefulRestartConfig
 from repro.core.damping import DampingManager
 from repro.core.params import CISCO_DEFAULTS, UpdateKind
 from repro.bgp.decision import select_best
+from repro.faults import FaultPlan, RouterCrash, SessionReset
 from repro.sim.engine import Engine
 from repro.topology.internet import internet_topology
 from repro.topology.mesh import mesh_topology
@@ -92,6 +97,96 @@ def test_rcn_mode_preserves_protocol_invariants(seed, pulses):
     scenario.warm_up()
     scenario.run(PulseSchedule.regular(pulses, 60.0))
     _check_converged_invariants(scenario)
+
+
+# ----------------------------------------------------------------------
+# incremental decision process vs. the full scan, on every event
+# ----------------------------------------------------------------------
+
+
+def _assert_decision_consistent(scenario: Scenario, when: str) -> None:
+    prefix = scenario.config.prefix
+    for router in scenario.routers.values():
+        winner = select_best(router._candidates(prefix), router._local_pref)
+        expected = winner[1] if winner is not None else None
+        actual = router.best_route(prefix)
+        assert actual == expected, (
+            f"{router.name} {when}: Loc-RIB "
+            f"{actual.as_path if actual else None} != full-scan winner "
+            f"{expected.as_path if expected else None}"
+        )
+
+
+def _fault_plan(config: ScenarioConfig) -> FaultPlan:
+    """A graceful-restart crash of one router plus a session reset
+    between two others, both early in the episode."""
+    nodes = config.topology.nodes
+    a = nodes[-1]
+    b = config.topology.neighbors(a)[0]
+    return FaultPlan(
+        name="differential",
+        crashes=(RouterCrash(router=nodes[1], at=20.0, down_for=30.0),),
+        session_resets=(SessionReset(a=a, b=b, at=35.0),),
+    )
+
+
+def _differential_config(mode: str, damping: bool, seed: int) -> ScenarioConfig:
+    if mode.startswith("internet"):
+        topology = internet_topology(
+            25, seed=seed % 31, with_relationships=mode == "internet-no-valley"
+        )
+    else:
+        topology = mesh_topology(4, 4)
+    config = ScenarioConfig(
+        topology=topology,
+        damping=CISCO_DEFAULTS if damping else None,
+        rcn=mode == "mesh-rcn",
+        selective=mode == "mesh-selective",
+        use_no_valley=mode == "internet-no-valley",
+        seed=seed,
+    )
+    if mode == "mesh-faults":
+        config = replace(
+            config,
+            faults=_fault_plan(config),
+            graceful_restart=GracefulRestartConfig(restart_time=60.0),
+        )
+    return config
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        "mesh",
+        "mesh-rcn",
+        "mesh-selective",
+        "internet",
+        "internet-no-valley",
+        "mesh-faults",
+    ],
+)
+@given(
+    damping=st.booleans(),
+    pulses=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=8, deadline=None)
+def test_loc_rib_matches_full_scan_on_every_event(mode, damping, pulses, seed):
+    """The incremental re-ranking never diverges from the full decision
+    process — checked before every executed event, warm-up included,
+    and once more after the drain."""
+    scenario = Scenario(_differential_config(mode, damping, seed))
+    checked = [0]
+
+    def check(event) -> None:  # noqa: ANN001 - ScheduledEvent
+        _assert_decision_consistent(scenario, f"before {event.tag} at t={event.time}")
+        checked[0] += 1
+
+    scenario.engine.set_event_hook(check)
+    scenario.warm_up()
+    scenario.run(PulseSchedule.regular(pulses, 60.0))
+    _assert_decision_consistent(scenario, "after the drain")
+    assert checked[0] == scenario.engine.events_executed
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ from typing import List, Optional, Tuple
 
 import pytest
 
+from repro.bgp import router as router_module
+from repro.bgp.decision import select_best
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrai import MraiConfig
 from repro.bgp.router import BgpRouter, RouterConfig
@@ -276,6 +278,177 @@ def test_reset_damping_clears_penalties():
     harness.router.reset_damping()
     assert harness.router.damping.penalty_value("A", "p0") == 0.0
     assert harness.router.suppressed_entry_count() == 0
+
+
+def test_reset_damping_reranks_released_entries():
+    """Suppressed entries become usable on reset: the Loc-RIB re-ranks
+    and exports at once instead of waiting for the next update."""
+    harness = damped_harness()
+    router = harness.router
+    harness.peers["B"].announce("p0", ("B", "x", "y", "origin"))
+    harness.run()
+    peer = harness.peers["A"]
+    for _ in range(3):
+        peer.announce("p0", ("A", "origin"))
+        harness.run()
+        peer.withdraw("p0")
+        harness.run()
+    cause = rc(7, "up")
+    peer.announce("p0", ("A", "origin"), cause=cause)
+    harness.run()
+    assert router.damping.is_suppressed("A", "p0")
+    assert router.best_route("p0").as_path == ("B", "x", "y", "origin")
+
+    router.reset_damping()
+    winner = select_best(router._candidates("p0"), router._local_pref)
+    assert winner is not None and winner[0] == "A"
+    assert router.best_route("p0") == winner[1]
+    harness.run()
+    exported = harness.peers["C"].updates[-1]
+    assert exported.as_path == ("R", "A", "origin")
+    assert exported.root_cause == cause
+
+
+def test_reset_damping_after_drain_sends_nothing():
+    harness = damped_harness()
+    harness.peers["A"].announce("p0", ("A", "origin"))
+    harness.run()
+    sent = harness.router.stats.updates_sent
+    changes = harness.router.stats.best_path_changes
+    harness.router.reset_damping()
+    harness.run()
+    assert harness.router.stats.updates_sent == sent
+    assert harness.router.stats.best_path_changes == changes
+
+
+# ----------------------------------------------------------------------
+# incremental decision process
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """Count the router's fallbacks to the full ``select_best`` scan."""
+    calls = []
+
+    def counting(candidates, local_pref):
+        calls.append(len(candidates))
+        return select_best(candidates, local_pref)
+
+    monkeypatch.setattr(router_module, "select_best", counting)
+    return calls
+
+
+def assert_matches_full_scan(router: BgpRouter, prefix: str) -> None:
+    winner = select_best(router._candidates(prefix), router._local_pref)
+    assert router.best_route(prefix) == (winner[1] if winner else None)
+
+
+def test_non_best_peer_getting_worse_skips_the_scan(harness, full_scans):
+    harness.peers["A"].announce("p0", ("A", "origin"))
+    harness.peers["B"].announce("p0", ("B", "x", "origin"))
+    harness.run()
+    del full_scans[:]
+    changes = harness.router.stats.best_path_changes
+    sent = len(harness.peers["C"].updates)
+    harness.peers["B"].announce("p0", ("B", "x", "y", "origin"))
+    harness.run()
+    harness.peers["B"].withdraw("p0")
+    harness.run()
+    assert full_scans == []
+    assert harness.router.stats.best_path_changes == changes
+    assert len(harness.peers["C"].updates) == sent
+    assert harness.router.best_route("p0").as_path == ("A", "origin")
+
+
+def test_best_peer_withdrawal_installs_runner_up(harness, full_scans):
+    harness.peers["A"].announce("p0", ("A", "origin"))
+    harness.peers["B"].announce("p0", ("B", "x", "origin"))
+    harness.run()
+    del full_scans[:]
+    harness.peers["A"].withdraw("p0")
+    harness.run()
+    assert full_scans == [1]  # the best vanished: one fallback scan
+    assert harness.router.best_route("p0").as_path == ("B", "x", "origin")
+    assert harness.peers["C"].updates[-1].as_path == ("R", "B", "x", "origin")
+    assert_matches_full_scan(harness.router, "p0")
+
+
+def test_best_peer_suppressed_installs_runner_up():
+    harness = damped_harness()
+    router = harness.router
+    harness.peers["B"].announce("p0", ("B", "x", "y", "origin"))
+    peer = harness.peers["A"]
+    peer.announce("p0", ("A", "origin"))
+    harness.run()
+    # Attribute changes keep A's route present (and best) while the
+    # penalty climbs past the cut-off.
+    paths = [("A", "z", "origin"), ("A", "origin")]
+    for step in range(10):
+        assert router.best_route("p0").learned_from == "A"
+        peer.announce("p0", paths[step % 2])
+        harness.run()
+        if router.damping.is_suppressed("A", "p0"):
+            break
+    assert router.damping.is_suppressed("A", "p0")
+    assert router.rib_in("A").route("p0") is not None
+    assert router.best_route("p0").as_path == ("B", "x", "y", "origin")
+    assert harness.peers["C"].updates[-1].as_path == ("R", "B", "x", "y", "origin")
+    assert_matches_full_scan(router, "p0")
+
+
+def test_best_peer_improving_in_place_keeps_slot(harness, full_scans):
+    harness.peers["A"].announce("p0", ("A", "x", "origin"))
+    harness.peers["B"].announce("p0", ("B", "x", "y", "origin"))
+    harness.run()
+    del full_scans[:]
+    harness.peers["A"].announce("p0", ("A", "origin"))
+    harness.run()
+    assert full_scans == []
+    assert harness.router.best_route("p0").as_path == ("A", "origin")
+    assert harness.peers["C"].updates[-1].as_path == ("R", "A", "origin")
+
+
+def test_noisy_reuse_of_better_route_takes_over_without_scan(full_scans):
+    harness = damped_harness()
+    harness.peers["B"].announce("p0", ("B", "x", "y", "origin"))
+    harness.run()
+    peer = harness.peers["A"]
+    for _ in range(3):
+        peer.announce("p0", ("A", "origin"))
+        harness.run()
+        peer.withdraw("p0")
+        harness.run()
+    peer.announce("p0", ("A", "origin"))
+    harness.run()
+    del full_scans[:]
+    harness.engine.run()  # the reuse timer fires
+    assert full_scans == []
+    assert harness.router.damping.reuse_events[-1].noisy is True
+    assert harness.router.best_route("p0").as_path == ("A", "origin")
+    assert harness.peers["C"].updates[-1].as_path == ("R", "A", "origin")
+
+
+@pytest.mark.parametrize("order", [("A", "B"), ("B", "A")])
+def test_equal_length_tie_goes_to_lowest_peer_name(harness, order):
+    for name in order:
+        harness.peers[name].announce("p0", (name, "origin"))
+        harness.run()
+    assert harness.router.best_route("p0").learned_from == "A"
+    assert_matches_full_scan(harness.router, "p0")
+
+
+def test_self_originated_route_always_wins(harness, full_scans):
+    harness.router.originate("mine")
+    harness.run()
+    del full_scans[:]
+    harness.peers["A"].announce("mine", ("A",))
+    harness.run()
+    harness.peers["A"].withdraw("mine")
+    harness.run()
+    assert full_scans == []
+    assert harness.router.best_route("mine").as_path == ("R",)
+    assert_matches_full_scan(harness.router, "mine")
 
 
 # ----------------------------------------------------------------------
