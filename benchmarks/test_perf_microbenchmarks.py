@@ -28,7 +28,6 @@ from repro.experiments.base import DEFAULT_SEED, mesh100_config, small_mesh_conf
 from repro.experiments.parallel import (
     available_cpus,
     execute_sweep,
-    resolve_chunk_size,
     shutdown_worker_pools,
 )
 from repro.sim.engine import Engine
@@ -319,7 +318,7 @@ def test_perf_snapshot_capture_and_restore():
     # full Mersenne Twister states (which alone would blow past it).
     assert snapshot.size_bytes < 600_000, (
         f"warm-state blob grew to {snapshot.size_bytes} bytes — "
-        "snapshot transport and per-point restore costs scale with this"
+        "capture and per-point restore costs scale with this"
     )
 
 
@@ -354,8 +353,10 @@ def _fig8_sweep(jobs: int, use_snapshots: bool, rounds: int = 1):
 def test_perf_fig8_sweep_sequential_vs_parallel():
     """Wall-clock for the fig8 full-damping mesh sweep in three modes:
     the seed's fresh-scenario-per-point loop, sequential with warm-state
-    snapshots, and a warm spawn pool with content-addressed snapshot
-    transport. All three must agree digest-for-digest.
+    snapshots, and a warm spawn pool that runs one point per task from
+    the bare config (each worker warms its own scenario up; the entry
+    keeps its historical ``snapshots_parallel`` name). All three must
+    agree digest-for-digest.
 
     The parallel round is timed with the pool already warm (persistent
     pools are the executor's steady state — every sweep after a
@@ -369,7 +370,6 @@ def test_perf_fig8_sweep_sequential_vs_parallel():
     comparisons of the number.
     """
     par_jobs = 2 if available_cpus() < 4 else 4
-    chunk = resolve_chunk_size(None, len(_FIG8_PULSES), par_jobs)
 
     fresh_s, fresh = _fig8_sweep(jobs=1, use_snapshots=False, rounds=2)
     snap_s, snap = _fig8_sweep(jobs=1, use_snapshots=True, rounds=2)
@@ -392,7 +392,6 @@ def test_perf_fig8_sweep_sequential_vs_parallel():
         jobs=par_jobs,
         cpu_count=available_cpus(),
         start_method="spawn",
-        chunk_size=chunk,
         speedup_vs_fresh=round(fresh_s / par_s, 2),
         speedup_vs_sequential=round(snap_s / par_s, 2),
     )
@@ -416,9 +415,12 @@ def test_perf_warm_pool_amortises_spawn():
 
     The persistent pool manager is what turns ``jobs=N`` from a
     per-sweep interpreter-start tax into a one-off: the first parallel
-    sweep spawns workers, every later one reuses them. This records the
-    cold/warm split so the pool manager's value is visible in the perf
-    trajectory (and its loss would show as warm_s climbing to cold_s).
+    sweep spawns workers, every later one reuses them. Each task carries
+    only the bare config, so once the pool is warm a sweep costs the
+    points themselves (warm-up included) plus per-task IPC. This records
+    the cold/warm split so the pool manager's value is visible in the
+    perf trajectory (and its loss would show as warm_s climbing to
+    cold_s).
     """
     shutdown_worker_pools()
     config = mesh100_config(seed=DEFAULT_SEED)

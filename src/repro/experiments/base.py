@@ -214,33 +214,10 @@ def default_jobs() -> int:
     return _DEFAULT_JOBS
 
 
-#: Sweep tuning shared by every :func:`run_sweep` call: points per
-#: submitted chunk (``None`` = auto-size) and how snapshot blobs reach
-#: workers. Toggled by the CLI's ``--chunk-size``/``--snapshot-transport``
-#: flags; module-level switches for the same reason as ``_DEFAULT_JOBS``.
-_CHUNK_SIZE: Optional[int] = None
-_SNAPSHOT_TRANSPORT = "auto"
-
-
-def set_sweep_tuning(
-    chunk_size: Optional[int] = None, snapshot_transport: str = "auto"
-) -> None:
-    """Set the chunking/transport knobs used by every sweep."""
-    global _CHUNK_SIZE, _SNAPSHOT_TRANSPORT
-    _CHUNK_SIZE = chunk_size
-    _SNAPSHOT_TRANSPORT = snapshot_transport
-
-
-def sweep_tuning() -> tuple:
-    """Current ``(chunk_size, snapshot_transport)`` pair."""
-    return (_CHUNK_SIZE, _SNAPSHOT_TRANSPORT)
-
-
-#: Warm-state snapshots shared by every sweep in this process: figure
-#: drivers replaying one config across several series (fig8/fig9 pairs,
-#: ablation grids) warm it up once, and — because the executor publishes
-#: blobs content-addressed — ship it to workers once, across executor
-#: instances.
+#: Warm-state snapshots shared by every sequential sweep in this
+#: process: figure drivers replaying one config across several series
+#: (fig8/fig9 pairs, ablation grids) warm it up once. Parallel sweeps do
+#: not use it; each worker warms its own scenario up from the config.
 _SWEEP_CACHE = WarmStateCache(max_entries=8)
 
 
@@ -278,12 +255,12 @@ def run_sweep(
 ) -> SweepSeries:
     """Run one episode per pulse count.
 
-    Episodes are independent: the sweep warms the config up once,
-    snapshots the converged state, and restores it per point (see
-    :class:`repro.workload.scenarios.WarmStateSnapshot`); with
-    ``jobs != 1`` points run in a spawn-context process pool (see
-    :mod:`repro.experiments.parallel`). Both optimisations are
-    digest-identical to the historical fresh-scenario-per-point loop.
+    Episodes are independent. Sequentially, the sweep warms the config
+    up once, snapshots the converged state, and restores it per point
+    (see :class:`repro.workload.scenarios.WarmStateSnapshot`); with
+    ``jobs != 1`` each point runs in a spawn-context worker that warms
+    its own scenario up (see :mod:`repro.experiments.parallel`). Both
+    are digest-identical to the historical fresh-scenario-per-point loop.
     ``jobs=None`` defers to :func:`default_jobs`.
     """
     outcomes = execute_sweep(
@@ -293,8 +270,6 @@ def run_sweep(
         jobs=_DEFAULT_JOBS if jobs is None else jobs,
         use_snapshots=use_snapshots,
         check_invariants=_CHECK_INVARIANTS,
-        chunk_size=_CHUNK_SIZE,
-        snapshot_transport=_SNAPSHOT_TRANSPORT,
         cache=_SWEEP_CACHE if use_snapshots else None,
     )
     series = SweepSeries(label=label)

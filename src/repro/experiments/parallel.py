@@ -6,39 +6,33 @@ points can run in any process, in any order, without sharing state. This
 module is the one place such fan-out is allowed (detlint rule DET010
 flags ``multiprocessing``/``concurrent.futures`` anywhere else), and it
 provides a hard guarantee: results are **digest-identical** to the
-sequential path, whatever ``jobs``, chunking, or snapshot transport is.
+sequential path, whatever ``jobs`` is.
 
 The guarantee holds by construction:
 
 * Each point's scenario derives every random draw from the point's own
   :class:`~repro.sim.rng.RngRegistry` master seed — nothing is drawn
   from shared or process-global randomness.
-* Workers materialise an independent scenario per point from a
-  :class:`~repro.workload.scenarios.WarmStateSnapshot` (or the bare
-  config); snapshot restoration preserves RNG stream states, the engine
-  clock/sequence counter, and all protocol state exactly.
+* Every point gets an independent warmed-up scenario. Sequentially it
+  is restored from a :class:`~repro.workload.scenarios.WarmStateSnapshot`
+  (or warmed up from the bare config); in a worker it is always built
+  from the bare config and warmed up there. Snapshot restoration
+  preserves RNG stream states, the engine clock/sequence counter, and
+  all protocol state exactly, so both routes give the same episode.
 * The pool uses the ``spawn`` start method, so workers import a fresh
   interpreter instead of inheriting forked state, and results are
   collected in submission order regardless of completion order.
 
-Three mechanisms make ``jobs=N`` actually buy ~N cores instead of
-drowning in serialisation overhead:
-
-* **Persistent warm pools** (:class:`_PoolManager`): spawn workers cost
-  a full interpreter start + import each, so pools are kept alive and
-  reused across ``execute_sweep`` calls instead of being rebuilt per
-  sweep. A broken or timed-out pool is discarded; healthy pools return
-  to the warm set.
-* **Content-addressed snapshot transport** (:mod:`repro.experiments
-  .snapstore`): the warm-state blob is published once under its SHA-256
-  digest (shared memory or a spill file) and workers attach by key,
-  caching the bytes per digest — the blob crosses the process boundary
-  zero times per point, and multi-sweep runs over the same config reuse
-  the published copy across executor instances.
-* **Chunked scheduling** (:func:`resolve_chunk_size`): points are
-  submitted in contiguous chunks so per-task IPC is amortised on
-  many-small-point grids; collection stays in submission order, so
-  chunking never reorders results.
+A parallel sweep submits one task per point carrying the bare
+:class:`~repro.workload.scenarios.ScenarioConfig` and the pulse count,
+and the worker warms its scenario up itself. That costs a worker a few
+tens of milliseconds more than a restore would, but the parent never
+warms up, captures or ships a snapshot, and end to end the sweep is
+faster than one that does.
+Spawn workers do cost a full interpreter start + import each, so pools
+are kept alive and reused across ``execute_sweep`` calls
+(:class:`_PoolManager`). A broken or timed-out pool is discarded;
+healthy pools return to the warm set.
 
 Episode outcomes cross the process boundary as compact picklable
 :class:`PointOutcome` records (metrics plus the run digest), never as
@@ -48,22 +42,14 @@ full result objects with their collectors and traces.
 from __future__ import annotations
 
 import atexit
-import math
 import multiprocessing
 import os
-import pickle
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.snapstore import (
-    SnapshotHandle,
-    fetch_blob,
-    publish_snapshot,
-    resolve_transport,
-)
 from repro.metrics.digest import run_digest
 from repro.sim.rng import RngRegistry
 from repro.trace.sinks import JsonlSink
@@ -76,13 +62,9 @@ from repro.workload.scenarios import (
     WarmStateSnapshot,
 )
 
-#: What a worker (or the in-process fallback) builds scenarios from: a
-#: warm-state snapshot when warm-up is shared, else the bare config.
+#: What the sequential path builds scenarios from: a warm-state snapshot
+#: when warm-up is shared, else the bare config.
 SweepSource = Union[WarmStateSnapshot, ScenarioConfig]
-
-#: Auto-chunking target: enough chunks per worker that completion skew
-#: stays small, few enough that dispatch overhead is amortised.
-_CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -136,22 +118,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs == 0:
         return available_cpus()
     return jobs
-
-
-def resolve_chunk_size(
-    chunk_size: Optional[int], point_count: int, worker_count: int
-) -> int:
-    """Points per submitted task. ``None`` auto-sizes to roughly
-    :data:`_CHUNKS_PER_WORKER` chunks per worker — 1 for figure-sized
-    sweeps (big points, negligible dispatch), larger for many-point
-    ablation grids where per-task IPC would dominate."""
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        return chunk_size
-    if worker_count <= 1:
-        return max(1, point_count)
-    return max(1, math.ceil(point_count / (worker_count * _CHUNKS_PER_WORKER)))
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -230,7 +196,7 @@ def _sweep_source(
 ) -> SweepSource:
     """Warm up once and snapshot when more than one point will reuse it;
     a single point is cheaper to warm directly. A cache turns the
-    capture into a digest-keyed lookup shared across sweeps."""
+    capture into a per-config lookup shared across sweeps."""
     if use_snapshots and point_count > 1:
         if cache is not None:
             return cache.get(config)
@@ -238,98 +204,42 @@ def _sweep_source(
     return config
 
 
-# ----------------------------------------------------------------------
-# worker-process side
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SweepSpec:
-    """Everything a worker needs per chunk, kept deliberately tiny.
-
-    Exactly one of ``handle`` (content-addressed transport) and
-    ``source`` (inline snapshot or bare config) is set. Because the
-    spec rides on every chunk instead of the pool initializer, one
-    persistent pool serves sweeps over different configs back to back.
-    """
-
-    handle: Optional[SnapshotHandle]
-    source: Optional[SweepSource]
-    flap_interval: float
-    check_invariants: bool
-    trace_dir: Optional[str]
-    audit_timers: bool
-
-
-def _init_worker(warm_handle: Optional[SnapshotHandle] = None) -> None:
-    """Pool initializer: prefetch (and digest-verify) the sweep's blob
-    so the first chunk does not pay the transport read. Errors are left
-    for the chunk path, where salvage/retry semantics apply."""
-    if warm_handle is not None:
-        try:
-            fetch_blob(warm_handle)
-        except (SimulationError, OSError):  # pragma: no cover - defensive
-            pass
-
-
 def _point_trace_path(trace_dir: str, index: int, pulses: int) -> str:
     """Per-point trace file name: stable, index-ordered, pulse-labelled."""
     return os.path.join(trace_dir, f"point_{index:03d}_p{pulses}.jsonl")
 
 
-def _materialise_spec(spec: _SweepSpec) -> Scenario:
-    """An independent warmed scenario inside a worker.
+@dataclass(frozen=True)
+class _SweepSpec:
+    """The per-sweep options every point runs with, plus the bare config
+    a worker builds its scenario from. It rides on every task, so one
+    persistent pool serves sweeps over different configs back to back."""
 
-    The content-addressed path restores from the per-process cached
-    blob (fetched at most once per digest), so per-point cost is one
-    in-process ``pickle.loads`` of the compact blob — the snapshot
-    never crosses the process boundary again.
-    """
-    if spec.handle is not None:
-        blob = fetch_blob(spec.handle)
-        try:
-            scenario: Scenario = pickle.loads(blob)
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise SimulationError(
-                f"warm-state snapshot failed to restore from "
-                f"{spec.handle.kind} transport: {exc}"
-            ) from exc
-        return scenario
-    if spec.source is None:  # pragma: no cover - spec construction guard
-        raise SimulationError("sweep spec carries neither handle nor source")
-    return _materialise(spec.source)
+    config: ScenarioConfig
+    flap_interval: float
+    check_invariants: bool
+    trace_dir: Optional[str]
+    audit_timers: bool
 
-
-#: One chunk of work: contiguous ``(index, pulses)`` tasks.
-_Chunk = Tuple[Tuple[int, int], ...]
-
-
-def _worker_run_chunk(
-    spec: _SweepSpec, tasks: _Chunk
-) -> List[Tuple[int, PointOutcome]]:
-    """Run every point of a chunk and return (index, outcome) pairs."""
-    outcomes: List[Tuple[int, PointOutcome]] = []
-    for index, pulses in tasks:
-        outcomes.append(
-            (
-                index,
-                run_point_outcome(
-                    _materialise_spec(spec),
-                    pulses,
-                    flap_interval=spec.flap_interval,
-                    check_invariants=spec.check_invariants,
-                    trace_path=(
-                        _point_trace_path(spec.trace_dir, index, pulses)
-                        if spec.trace_dir is not None
-                        else None
-                    ),
-                    audit_timers=spec.audit_timers,
-                ),
-            )
+    def run(self, scenario: Scenario, index: int, pulses: int) -> PointOutcome:
+        """Run point ``index`` on a warmed ``scenario``."""
+        return run_point_outcome(
+            scenario,
+            pulses,
+            flap_interval=self.flap_interval,
+            check_invariants=self.check_invariants,
+            trace_path=(
+                _point_trace_path(self.trace_dir, index, pulses)
+                if self.trace_dir is not None
+                else None
+            ),
+            audit_timers=self.audit_timers,
         )
-    return outcomes
+
+
+def _worker_run_point(spec: _SweepSpec, index: int, pulses: int) -> PointOutcome:
+    """Worker entry point: warm up the bare config and run one point."""
+    return spec.run(_materialise(spec.config), index, pulses)
 
 
 # ----------------------------------------------------------------------
@@ -354,22 +264,14 @@ class _PoolManager:
         self._idle: Dict[Tuple[object, int, str], ProcessPoolExecutor] = {}
 
     def acquire(
-        self,
-        worker_count: int,
-        start_method: str,
-        warm_handle: Optional[SnapshotHandle] = None,
+        self, worker_count: int, start_method: str
     ) -> Tuple[Tuple[object, int, str], ProcessPoolExecutor]:
         executor_cls = ProcessPoolExecutor  # module attr: monkeypatch seam
         key = (executor_cls, worker_count, start_method)
         pool = self._idle.pop(key, None)
         if pool is None:
             context = multiprocessing.get_context(start_method)
-            pool = executor_cls(
-                max_workers=worker_count,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(warm_handle,),
-            )
+            pool = executor_cls(max_workers=worker_count, mp_context=context)
         return key, pool
 
     def release(
@@ -410,30 +312,23 @@ def shutdown_worker_pools() -> None:
 # ----------------------------------------------------------------------
 
 
-def _chunk_tasks(tasks: Sequence[Tuple[int, int]], size: int) -> List[_Chunk]:
-    """Contiguous chunks in task order — deterministic for a given
-    (missing tasks, size), so retries re-chunk reproducibly."""
-    return [tuple(tasks[i : i + size]) for i in range(0, len(tasks), size)]
-
-
-def _salvage_chunks(
-    submitted: Sequence[Tuple[_Chunk, "Future[List[Tuple[int, PointOutcome]]]"]],
+def _salvage(
+    submitted: Sequence[Tuple[int, "Future[PointOutcome]"]],
     results: Dict[int, PointOutcome],
 ) -> None:
-    """Harvest every chunk that finished cleanly before the pool broke,
+    """Harvest every point that finished cleanly before the pool broke,
     without blocking on the ones that did not. Completed points are
     kept; only the genuinely missing ones are resubmitted."""
-    for _chunk, future in submitted:
+    for index, future in submitted:
         if not future.done():
             continue
         try:
-            outcomes = future.result(timeout=0)
+            outcome = future.result(timeout=0)
         except BaseException:
             # Broken-pool / cancelled / crashed futures are retried by
             # the caller; only clean outcomes are worth keeping.
             continue
-        for index, outcome in outcomes:
-            results.setdefault(index, outcome)
+        results.setdefault(index, outcome)
 
 
 def execute_sweep(
@@ -448,8 +343,6 @@ def execute_sweep(
     point_timeout: Optional[float] = None,
     max_retries: int = 2,
     audit_timers: bool = False,
-    chunk_size: Optional[int] = None,
-    snapshot_transport: str = "auto",
     cache: Optional[WarmStateCache] = None,
 ) -> List[PointOutcome]:
     """Run one episode per pulse count, optionally across processes.
@@ -457,18 +350,15 @@ def execute_sweep(
     ``jobs`` follows the CLI convention (``1`` sequential in-process,
     ``0`` one worker per available CPU, ``N`` workers otherwise).
     Outcomes are returned in ``pulse_counts`` order and are
-    digest-identical whatever ``jobs``, ``chunk_size``, or
-    ``snapshot_transport`` resolve to.
+    digest-identical whatever ``jobs`` resolves to.
 
-    ``chunk_size`` groups points into contiguous per-task chunks
-    (``None`` auto-sizes — see :func:`resolve_chunk_size`).
-    ``snapshot_transport`` picks how the warm-state blob reaches
-    workers: ``auto``/``shm``/``spill`` publish it once under its
-    content digest and ship only a key; ``inline`` ships the blob with
-    the chunk spec (the degenerate fallback). ``cache`` reuses captured
-    snapshots across sweeps (and heals a snapshot that fails to
-    restore by recapturing it — see
-    :meth:`~repro.workload.scenarios.WarmStateCache.restore`).
+    ``use_snapshots`` and ``cache`` apply to the sequential path only:
+    it warms the config up once and restores a snapshot per point, and
+    ``cache`` reuses captured snapshots across sweeps (and heals a
+    snapshot that fails to restore by recapturing it — see
+    :meth:`~repro.workload.scenarios.WarmStateCache.restore`). The
+    parallel path submits one task per point with the bare config, and
+    each worker warms its own scenario up.
 
     ``trace_dir`` enables causal tracing: each point writes its canonical
     JSONL trace to ``<trace_dir>/point_<index>_p<pulses>.jsonl`` (the
@@ -482,9 +372,8 @@ def execute_sweep(
     executor, and a wedged worker would block forever:
 
     * ``point_timeout`` bounds the wall-clock wait for each point once
-      the executor starts waiting on it (``None`` = wait forever); a
-      chunk's budget is ``point_timeout * len(chunk)``;
-    * when the pool breaks or a chunk times out, every already-completed
+      the executor starts waiting on it (``None`` = wait forever);
+    * when the pool breaks or a point times out, every already-completed
       outcome is salvaged, the pool is discarded (a wedged worker makes
       it unreusable), and only the missing points are resubmitted to a
       fresh pool, up to ``max_retries`` extra attempts.
@@ -492,7 +381,7 @@ def execute_sweep(
     Deterministic failures — an episode raising ``SimulationError``,
     an invariant or timer-audit violation — are *not* retried: rerunning
     the same seed reproduces them, so they propagate immediately.
-    Because every point is a pure function of ``(source, task)``,
+    Because every point is a pure function of ``(config, pulses)``,
     salvage-and-retry cannot change results, only recover them.
     """
     counts = [int(p) for p in pulse_counts]
@@ -503,67 +392,44 @@ def execute_sweep(
         raise ConfigurationError(
             f"point_timeout must be > 0 seconds, got {point_timeout}"
         )
-    transport = resolve_transport(snapshot_transport)
     if not counts:
         return []
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
-
-    source = _sweep_source(config, len(counts), use_snapshots, cache)
-    if worker_count == 1 or len(counts) == 1:
-        outcomes: List[PointOutcome] = []
-        for index, pulses in enumerate(counts):
-            if cache is not None and isinstance(source, WarmStateSnapshot):
-                scenario = cache.restore(config)
-            else:
-                scenario = _materialise(source)
-            outcomes.append(
-                run_point_outcome(
-                    scenario,
-                    pulses,
-                    flap_interval=flap_interval,
-                    check_invariants=check_invariants,
-                    trace_path=(
-                        _point_trace_path(trace_dir, index, pulses)
-                        if trace_dir is not None
-                        else None
-                    ),
-                    audit_timers=audit_timers,
-                )
-            )
-        return outcomes
-
-    handle: Optional[SnapshotHandle] = None
-    inline_source: Optional[SweepSource] = None
-    if isinstance(source, WarmStateSnapshot) and transport != "inline":
-        handle = publish_snapshot(source.blob, transport)
-    else:
-        inline_source = source
     spec = _SweepSpec(
-        handle=handle,
-        source=inline_source,
+        config=config,
         flap_interval=flap_interval,
         check_invariants=check_invariants,
         trace_dir=trace_dir,
         audit_timers=audit_timers,
     )
 
+    if worker_count == 1 or len(counts) == 1:
+        source = _sweep_source(config, len(counts), use_snapshots, cache)
+        outcomes: List[PointOutcome] = []
+        for index, pulses in enumerate(counts):
+            if cache is not None and isinstance(source, WarmStateSnapshot):
+                scenario = cache.restore(config)
+            else:
+                scenario = _materialise(source)
+            outcomes.append(spec.run(scenario, index, pulses))
+        return outcomes
+
     tasks = list(enumerate(counts))
-    size = resolve_chunk_size(chunk_size, len(tasks), worker_count)
     results: Dict[int, PointOutcome] = {}
     failures: List[str] = []
     for attempt in range(max_retries + 1):
         missing = [task for task in tasks if task[0] not in results]
         if not missing:
             break
-        key, pool = _POOLS.acquire(worker_count, mp_start_method, warm_handle=handle)
-        submitted: List[Tuple[_Chunk, "Future[List[Tuple[int, PointOutcome]]]"]] = []
+        key, pool = _POOLS.acquire(worker_count, mp_start_method)
+        submitted: List[Tuple[int, "Future[PointOutcome]"]] = []
         broke = False
         try:
             try:
-                for piece in _chunk_tasks(missing, size):
+                for index, pulses in missing:
                     submitted.append(
-                        (piece, pool.submit(_worker_run_chunk, spec, piece))
+                        (index, pool.submit(_worker_run_point, spec, index, pulses))
                     )
             except BrokenExecutor as exc:
                 failures.append(
@@ -573,38 +439,31 @@ def execute_sweep(
                 broke = True
             # Collect in submission order so output ordering never depends
             # on completion order.
-            for piece, future in submitted:
+            for index, future in submitted:
                 if broke:
                     break
-                budget = (
-                    point_timeout * len(piece) if point_timeout is not None else None
-                )
-                pulses_in_piece = [pulses for _index, pulses in piece]
                 try:
-                    for index, outcome in future.result(timeout=budget):
-                        results[index] = outcome
+                    results[index] = future.result(timeout=point_timeout)
                 except BrokenExecutor as exc:
                     failures.append(
-                        f"attempt {attempt + 1}: pool broke at chunk "
-                        f"n={pulses_in_piece} ({type(exc).__name__})"
+                        f"attempt {attempt + 1}: pool broke at "
+                        f"n={counts[index]} ({type(exc).__name__})"
                     )
                     broke = True
-                    break
                 except FutureTimeoutError:
                     failures.append(
-                        f"attempt {attempt + 1}: chunk n={pulses_in_piece} "
-                        f"exceeded {budget}s"
+                        f"attempt {attempt + 1}: n={counts[index]} "
+                        f"exceeded {point_timeout}s"
                     )
                     broke = True
-                    break
         except BaseException:
             # Deterministic episode errors propagate immediately; the
-            # pool may be healthy but its outstanding chunks are moot,
+            # pool may be healthy but its outstanding points are moot,
             # so drop it rather than hand it to the next sweep mid-drain.
             _POOLS.discard(pool)
             raise
         if broke:
-            _salvage_chunks(submitted, results)
+            _salvage(submitted, results)
             _POOLS.discard(pool)
         else:
             _POOLS.release(key, pool)
@@ -627,7 +486,6 @@ __all__ = [
     "available_cpus",
     "derive_seed",
     "execute_sweep",
-    "resolve_chunk_size",
     "resolve_jobs",
     "run_point_outcome",
     "shutdown_worker_pools",

@@ -44,10 +44,11 @@ DEFAULT_PARAMS_MODULES: Tuple[str, ...] = ("repro.core.params",)
 DEFAULT_DAMPING_MODULES: Tuple[str, ...] = ("repro.core.damping",)
 
 #: Modules allowed to spawn worker processes (DET010): the deterministic
-#: sweep executor, its content-addressed snapshot transport (which uses
-#: ``multiprocessing.shared_memory``, not process fan-out), and the
-#: parallel lint runner (which analyses static source text, not
-#: simulation state).
+#: sweep executor and the parallel lint runner (which analyses static
+#: source text, not simulation state). ``repro.experiments.snapstore``
+#: no longer exists, but the benchmark's frozen lint corpus
+#: (``perfbench/corpus``) still holds it and pins its findings; drop the
+#: entry when that corpus is re-frozen.
 DEFAULT_EXECUTOR_MODULES: Tuple[str, ...] = (
     "repro.experiments.parallel",
     "repro.experiments.snapstore",

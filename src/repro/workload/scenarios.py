@@ -21,15 +21,16 @@ damping, RIB, and RNG state — and restored per point instead of
 re-running warm-up. Restoration is provably digest-identical to a fresh
 warm-up: the pickle preserves every ``random.Random`` stream state, the
 engine's clock and sequence counter, and all protocol state exactly.
+Sequential sweeps do this; a parallel sweep's workers warm up from the
+bare config instead (see :mod:`repro.experiments.parallel`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional
 
 from repro.bgp.graceful_restart import GracefulRestartConfig
 from repro.bgp.mrai import MraiConfig
@@ -514,12 +515,12 @@ class WarmStateSnapshot:
     counter, and every RIB/penalty entry exactly, and restored copies
     share no mutable state with each other.
 
-    Snapshots are plain picklable values themselves, so they can be
-    shipped to spawn-context worker processes (see
+    Snapshots serve sequential sweeps only: a parallel sweep ships each
+    worker the bare config and the worker warms up itself (see
     :mod:`repro.experiments.parallel`).
     """
 
-    __slots__ = ("config", "blob", "warmup_convergence", "_digest")
+    __slots__ = ("config", "blob", "warmup_convergence")
 
     def __init__(
         self, config: ScenarioConfig, blob: bytes, warmup_convergence: float
@@ -527,27 +528,11 @@ class WarmStateSnapshot:
         self.config = config
         self.blob = blob
         self.warmup_convergence = warmup_convergence
-        self._digest: Optional[str] = None
-
-    def __getstate__(self) -> Tuple[ScenarioConfig, bytes, float]:
-        return (self.config, self.blob, self.warmup_convergence)
-
-    def __setstate__(self, state: Tuple[ScenarioConfig, bytes, float]) -> None:
-        self.config, self.blob, self.warmup_convergence = state
-        self._digest = None
 
     @property
     def size_bytes(self) -> int:
         """Size of the pickled scenario state."""
         return len(self.blob)
-
-    @property
-    def digest(self) -> str:
-        """Content address of the blob (SHA-256 hex) — the key the sweep
-        executor's snapshot transport publishes and fetches under."""
-        if self._digest is None:
-            self._digest = hashlib.sha256(self.blob).hexdigest()
-        return self._digest
 
     @classmethod
     def capture(cls, config: ScenarioConfig) -> "WarmStateSnapshot":

@@ -549,26 +549,13 @@ def test_committed_smoke_digests_match_current_code(capsys):
     assert "all sweep digests match" in capsys.readouterr().out
 
 
-def test_run_rejects_bad_chunk_size():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError, match="chunk_size"):
-        main(["run", "T1", "--chunk-size", "0"])
-
-
-def test_run_rejects_unknown_snapshot_transport():
-    # argparse owns the choices list, so a bad transport exits before
-    # any experiment code runs.
-    with pytest.raises(SystemExit):
-        main(["run", "T1", "--snapshot-transport", "telepathy"])
-
-
-def test_run_smoke_with_sweep_tuning_matches_committed_digests(capsys):
-    """Chunking and spill transport must not move a digest: the tuned
-    smoke sweep still matches the committed F8 expectation file."""
+def test_run_smoke_with_jobs_matches_committed_digests(capsys):
+    """Running the points in worker processes must not move a digest:
+    the pooled smoke sweep still matches the committed F8 expectation
+    file."""
     import pathlib
 
-    from repro.experiments.base import set_smoke_mode, set_sweep_tuning
+    from repro.experiments.base import set_smoke_mode
 
     committed = (
         pathlib.Path(__file__).resolve().parents[2]
@@ -580,8 +567,6 @@ def test_run_smoke_with_sweep_tuning_matches_committed_digests(capsys):
                 [
                     "run", "F8", "--smoke",
                     "--jobs", "2",
-                    "--chunk-size", "2",
-                    "--snapshot-transport", "spill",
                     "--verify-digests", str(committed),
                 ]
             )
@@ -589,7 +574,6 @@ def test_run_smoke_with_sweep_tuning_matches_committed_digests(capsys):
         )
     finally:
         set_smoke_mode(False)
-        set_sweep_tuning(None, "auto")
         from repro.experiments.base import set_default_jobs
 
         set_default_jobs(1)

@@ -24,7 +24,6 @@ from repro.experiments.parallel import (
     available_cpus,
     derive_seed,
     execute_sweep,
-    resolve_chunk_size,
     resolve_jobs,
 )
 
@@ -64,24 +63,6 @@ def test_run_sweep_records_digests():
     assert [point.pulses for point in series.points] == [0, 1]
 
 
-@pytest.mark.parametrize("transport", ["shm", "spill", "inline"])
-@pytest.mark.parametrize("chunk_size", [1, 3])
-def test_transport_and_chunking_are_digest_identical(transport, chunk_size):
-    """Neither the snapshot transport nor the chunk geometry may move a
-    byte: the blob a worker restores from is digest-verified identical,
-    and collection order is submission order regardless of chunking."""
-    config = mesh100_config(seed=DEFAULT_SEED)
-    sequential = execute_sweep(config, PULSES, jobs=1)
-    parallel = execute_sweep(
-        config,
-        PULSES,
-        jobs=2,
-        chunk_size=chunk_size,
-        snapshot_transport=transport,
-    )
-    assert sequential == parallel
-
-
 def test_resolve_jobs_semantics():
     import os
 
@@ -94,19 +75,6 @@ def test_resolve_jobs_semantics():
     assert 1 <= available_cpus() <= (os.cpu_count() or 1)
     with pytest.raises(ConfigurationError):
         resolve_jobs(-1)
-
-
-def test_resolve_chunk_size_semantics():
-    # Explicit sizes pass through; zero/negative are rejected loudly.
-    assert resolve_chunk_size(3, 10, 2) == 3
-    with pytest.raises(ConfigurationError):
-        resolve_chunk_size(0, 10, 2)
-    # Auto mode: sequential keeps one chunk; parallel targets a few
-    # chunks per worker and never rounds below one point per chunk.
-    assert resolve_chunk_size(None, 5, 1) == 5
-    assert resolve_chunk_size(None, 4, 2) == 1
-    assert resolve_chunk_size(None, 100, 4) == 7
-    assert resolve_chunk_size(None, 1, 8) == 1
 
 
 def test_derive_seed_is_stable_and_label_sensitive():

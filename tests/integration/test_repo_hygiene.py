@@ -8,6 +8,7 @@ resolve.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import pathlib
 import re
@@ -167,3 +168,61 @@ def test_suppression_directives_name_registered_rules():
                     if rule_id.strip() not in known
                 )
     assert not dead, "dead suppressions:\n" + "\n".join(dead)
+
+
+_FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_INLINE_CODE = re.compile(r"`([^`]+)`")
+#: One CLI invocation up to the first pipe, comment, or command separator.
+_INVOCATION = re.compile(r"(?:rfd-repro|python -m repro)\s+([^|;#&]*)")
+
+
+def _cli_invocations(text: str):
+    """Token lists of every ``rfd-repro …``/``python -m repro …`` command
+    a Markdown document shows, in fenced blocks (one per line, with
+    backslash continuations joined) and in inline code spans."""
+    snippets = []
+    for block in _FENCE.findall(text):
+        snippets.extend(block.replace("\\\n", " ").splitlines())
+    prose = _FENCE.sub("", text)
+    snippets.extend(" ".join(span.split()) for span in _INLINE_CODE.findall(prose))
+    for snippet in snippets:
+        for match in _INVOCATION.finditer(snippet):
+            yield match.group(1).split()
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return dict(action.choices)
+    return {}
+
+
+def test_documented_cli_flags_exist():
+    """Every ``--flag`` a doc shows on a CLI command line is accepted by
+    that (sub)command's parser, so a renamed or deleted option cannot
+    survive in the documentation."""
+    from repro.cli import _build_parser
+
+    docs = sorted((REPO_ROOT / "docs").glob("*.md")) + [
+        REPO_ROOT / "README.md",
+        REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    ]
+    checked = 0
+    stale = []
+    for doc in docs:
+        if not doc.exists():
+            continue
+        for tokens in _cli_invocations(doc.read_text(encoding="utf-8")):
+            parser, path = _build_parser(), []
+            while tokens and tokens[0] in _subcommands(parser):
+                path.append(tokens[0])
+                parser = _subcommands(parser)[tokens.pop(0)]
+            accepted = {opt for action in parser._actions for opt in action.option_strings}
+            for token in tokens:
+                flag = token.split("=", 1)[0]
+                if flag.startswith("--"):
+                    checked += 1
+                    if flag not in accepted:
+                        stale.append(f"{doc.name}: rfd-repro {' '.join(path)} {flag}")
+    assert checked > 50, f"only {checked} documented flags found; is the scan broken?"
+    assert not stale, "docs show options the CLI does not accept:\n" + "\n".join(stale)

@@ -2,13 +2,13 @@
 
 Real worker death (OOM kill, segfault) and wedged workers are
 nondeterministic to provoke, so these tests substitute fake pools for
-``ProcessPoolExecutor`` in the module namespace: the fakes run chunks
-inline (same process, same initializer contract) while simulating the
-pool-level failures the executor must survive — a broken pool with
-salvageable completed futures, a chunk that never finishes, and a
-deterministic episode error that must *not* be retried. The persistent
-pool manager keys warm pools on the executor class, so each fake class
-gets its own pools and never aliases the real spawn pools.
+``ProcessPoolExecutor`` in the module namespace: the fakes run points
+inline (same process) while simulating the pool-level failures the
+executor must survive — a broken pool with salvageable completed
+futures, a point that never finishes, and a deterministic episode error
+that must *not* be retried. The persistent pool manager keys warm pools
+on the executor class, so each fake class gets its own pools and never
+aliases the real spawn pools.
 """
 
 from __future__ import annotations
@@ -23,21 +23,19 @@ import repro.experiments.parallel as parallel_mod
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.parallel import (
     PointOutcome,
-    _salvage_chunks,
+    _salvage,
     execute_sweep,
     shutdown_worker_pools,
 )
+from repro.workload.scenarios import WarmStateSnapshot
 
 
 class _InlinePool:
-    """Runs submitted chunks synchronously in-process; honours the
-    initializer contract the real pool manager uses."""
+    """Runs submitted points synchronously in-process."""
 
     instances: List["_InlinePool"] = []
 
-    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
-        if initializer is not None:
-            initializer(*initargs)
+    def __init__(self, max_workers, mp_context=None):
         self.submitted = 0
         type(self).instances.append(self)
 
@@ -57,7 +55,7 @@ class _InlinePool:
 class _BreaksAfterFirstPool(_InlinePool):
     """First instance completes its first submission then breaks every
     later future; subsequent instances behave normally. Models a worker
-    dying mid-sweep with completed chunks left to salvage."""
+    dying mid-sweep with completed points left to salvage."""
 
     def submit(self, fn, *args):
         if type(self).instances[0] is self and self.submitted >= 1:
@@ -93,22 +91,16 @@ def test_execute_sweep_validates_retry_and_timeout_arguments(fast_config):
         execute_sweep(fast_config, (0, 1), max_retries=-1)
     with pytest.raises(ConfigurationError, match="point_timeout"):
         execute_sweep(fast_config, (0, 1), point_timeout=0.0)
-    with pytest.raises(ConfigurationError, match="chunk_size"):
-        execute_sweep(fast_config, (0, 1), jobs=2, chunk_size=0)
-    with pytest.raises(ConfigurationError, match="snapshot_transport"):
-        execute_sweep(fast_config, (0, 1), jobs=2, snapshot_transport="carrier-pigeon")
 
 
 def test_broken_pool_salvages_completed_points_and_retries(
     fast_config, monkeypatch
 ):
     monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _BreaksAfterFirstPool)
-    outcomes = execute_sweep(
-        fast_config, (0, 1, 2), jobs=2, max_retries=2, chunk_size=1
-    )
+    outcomes = execute_sweep(fast_config, (0, 1, 2), jobs=2, max_retries=2)
     assert [o.pulses for o in outcomes] == [0, 1, 2]
-    # Attempt 1 completed one chunk before breaking and was discarded;
-    # attempt 2 ran the two missing chunks on a fresh pool.
+    # Attempt 1 completed one point before breaking and was discarded;
+    # attempt 2 ran the two missing points on a fresh pool.
     pools = _BreaksAfterFirstPool.instances
     assert len(pools) == 2
     assert pools[1].submitted == 2
@@ -117,7 +109,7 @@ def test_broken_pool_salvages_completed_points_and_retries(
 def test_broken_pool_results_match_sequential(fast_config, monkeypatch):
     sequential = execute_sweep(fast_config, (0, 1, 2), jobs=1)
     monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _BreaksAfterFirstPool)
-    recovered = execute_sweep(fast_config, (0, 1, 2), jobs=2, chunk_size=1)
+    recovered = execute_sweep(fast_config, (0, 1, 2), jobs=2)
     assert [o.digest for o in recovered] == [o.digest for o in sequential]
 
 
@@ -131,11 +123,24 @@ def test_healthy_pool_is_reused_across_sweeps(fast_config, monkeypatch):
     assert len(_InlinePool.instances) == 1
 
 
-def test_chunked_submission_batches_points(fast_config, monkeypatch):
+def test_parallel_sweep_submits_bare_config_per_point(fast_config, monkeypatch):
+    """The parent neither warms up nor captures a snapshot no worker
+    would read: every point is one task carrying the bare config."""
+    captures = []
+    real_capture = WarmStateSnapshot.capture.__func__
+
+    def counting_capture(cls, config):
+        captures.append(config)
+        return real_capture(cls, config)
+
+    monkeypatch.setattr(
+        WarmStateSnapshot, "capture", classmethod(counting_capture)
+    )
     monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _InlinePool)
-    outcomes = execute_sweep(fast_config, (0, 1, 2, 3), jobs=2, chunk_size=2)
-    assert [o.pulses for o in outcomes] == [0, 1, 2, 3]
-    assert _InlinePool.instances[0].submitted == 2
+    outcomes = execute_sweep(fast_config, (0, 1, 2), jobs=2)
+    assert [o.pulses for o in outcomes] == [0, 1, 2]
+    assert captures == []
+    assert _InlinePool.instances[0].submitted == 3
 
 
 def test_exhausted_retries_raise_with_missing_points(fast_config, monkeypatch):
@@ -155,15 +160,15 @@ def test_exhausted_retries_raise_with_missing_points(fast_config, monkeypatch):
 def test_deterministic_episode_errors_are_not_retried(fast_config, monkeypatch):
     calls = []
 
-    def boom(spec, tasks):
-        calls.append(tasks)
+    def boom(spec, index, pulses):
+        calls.append(pulses)
         raise SimulationError("invariant violated")
 
     monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(parallel_mod, "_worker_run_chunk", boom)
+    monkeypatch.setattr(parallel_mod, "_worker_run_point", boom)
     with pytest.raises(SimulationError, match="invariant violated"):
         execute_sweep(fast_config, (0, 1), jobs=2, max_retries=5)
-    # The error propagated from the first chunk of the first attempt:
+    # The error propagated from the first point of the first attempt:
     # rerunning the same seed would reproduce it, so no retry happened.
     assert len(_InlinePool.instances) == 1
 
@@ -181,20 +186,18 @@ def _outcome(pulses: int, digest: str) -> PointOutcome:
     )
 
 
-def test_salvage_harvests_only_clean_chunks():
+def test_salvage_harvests_only_clean_points():
     good: Future = Future()
-    good.set_result([(0, _outcome(1, "d")), (1, _outcome(2, "f"))])
+    good.set_result(_outcome(1, "d"))
+    also_good: Future = Future()
+    also_good.set_result(_outcome(2, "f"))
     pending: Future = Future()
     broken: Future = Future()
     broken.set_exception(BrokenProcessPool("dead"))
     already = _outcome(0, "e")
     results = {3: already}
-    _salvage_chunks(
-        [
-            (((0, 1), (1, 2)), good),
-            (((2, 3),), pending),
-            (((4, 5),), broken),
-        ],
+    _salvage(
+        [(0, good), (1, also_good), (2, pending), (4, broken)],
         results,
     )
     assert results == {0: _outcome(1, "d"), 1: _outcome(2, "f"), 3: already}
